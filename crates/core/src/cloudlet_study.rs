@@ -10,6 +10,7 @@ use junkyard_devices::catalog::{self, C5Size};
 use junkyard_microsim::app::{
     hotel_reservation, social_network, Application, SN_COMPOSE_POST, SN_READ_HOME_TIMELINE,
 };
+use junkyard_microsim::fanout;
 use junkyard_microsim::metrics::RunMetrics;
 use junkyard_microsim::sweep::{run_figure8, LatencyCurve, SweepConfig};
 
@@ -197,11 +198,10 @@ impl Figure7Study {
 
     /// Runs the study for one workload across all Figure 7 deployments.
     ///
-    /// The deployments are independent simulations, so they are fanned out
-    /// across scoped worker threads (each sweep additionally parallelises
-    /// its load points); every worker writes into its own pre-assigned
-    /// slot, so the curve order matches `DeploymentKind::figure7_set()`
-    /// exactly as in a serial run.
+    /// The deployments are independent simulations, so they fan out one
+    /// worker each (each sweep additionally parallelises its load points);
+    /// results come back in input order, so the curve order matches
+    /// `DeploymentKind::figure7_set()` exactly as in a serial run.
     ///
     /// # Errors
     ///
@@ -214,29 +214,13 @@ impl Figure7Study {
         // cap each inner sweep's worker pool to its share of the machine —
         // otherwise 4 deployments x available_parallelism sweep workers
         // oversubscribe the CPU.
-        let sweep_workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZero::get)
-            .div_ceil(kinds.len())
-            .max(1);
-        let mut slots: Vec<Option<Result<LatencyCurve, DeploymentError>>> =
-            kinds.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (slot, kind) in slots.iter_mut().zip(&kinds) {
-                let app = &app;
-                scope.spawn(move || {
-                    *slot = Some(self.run_deployment(
-                        *kind,
-                        app,
-                        workload.request_type(),
-                        sweep_workers,
-                    ));
-                });
-            }
-        });
-        let mut curves = Vec::with_capacity(kinds.len());
-        for slot in slots {
-            curves.push(slot.expect("every deployment slot is filled by its worker")?);
-        }
+        let sweep_workers = fanout::workers(None, usize::MAX).div_ceil(kinds.len());
+        let curves = fanout::map_slots(kinds.len(), kinds, |_, kind| {
+            self.run_deployment(kind, &app, workload.request_type(), sweep_workers)
+        })
+        .map_err(|lost| DeploymentError::Sim(lost.into()))?
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         Ok(Figure7Result { workload, curves })
     }
 

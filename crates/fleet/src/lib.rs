@@ -18,8 +18,8 @@
 //!   (window, site) cell through the compiled engine, integrates
 //!   operational carbon from measured utilisation and amortised embodied
 //!   carbon per window, and reports fleet-wide gCO2e per request. Cells
-//!   fan out across scoped threads with pre-assigned output slots, so
-//!   results are identical serial or threaded.
+//!   fan out through `junkyard_obs::fanout` and come back in cell order,
+//!   so results are identical serial or threaded.
 //! * [`faults`] — correlated fault injection and the failure-aware
 //!   serving path: deterministic [`FaultPlan`](faults::FaultPlan)s of
 //!   grid outages, firmware-batch failures and thermal shutdowns; a
@@ -32,7 +32,8 @@
 //!   batteries day by day under the simulated smart-charging schedule,
 //!   fail stochastically and are refilled from junkyard stock; routing
 //!   re-plans every window as capacity shrinks and recovers; (year, site)
-//!   cells fan out with the same deterministic slot pattern.
+//!   cells fan out the same way, and price their windows' serving with
+//!   the same slice kernel as the fleet cells.
 //!
 //! # Example
 //!
@@ -98,3 +99,61 @@ pub use routing::{RoutingPolicy, SiteWindowInput, WindowAssignment};
 pub use schedule::{DiurnalSchedule, LoadWindow};
 pub use sim::{FleetCell, FleetConfig, FleetResult, FleetSim};
 pub use site::{second_life_embodied, smart_charging_scale, FleetSite, GridRegion};
+
+use junkyard_carbon::convert::{count_f64, floor_index};
+use junkyard_microsim::compiled::CompiledSim;
+use junkyard_microsim::sim::{Phase, SimError, Workload};
+
+/// What one representative microsim slice of a window measured: the
+/// utilisation that prices the window's energy, the latency percentiles
+/// the SLO hooks track, and the fraction of accepted requests dropped at
+/// bounded queues. An idle window is the all-zero default.
+#[derive(Debug, Clone, Copy, Default)]
+struct SliceMeasure {
+    utilization: f64,
+    median_ms: f64,
+    tail_ms: f64,
+    p99_ms: f64,
+    drop_fraction: f64,
+}
+
+/// The slice kernel shared by [`FleetSim`] cells and [`LifecycleSim`]
+/// windows: runs `warm_s` at the start rate, then a `slice_s` ramp to the
+/// end rate, and measures the ramp. Private at the crate root, so both
+/// modules reach it and nothing outside the crate does.
+fn measure_slice(
+    sim: &CompiledSim,
+    request_type: Option<&str>,
+    warm_s: f64,
+    slice_s: f64,
+    qps_start: f64,
+    qps_end: f64,
+    seed: u64,
+) -> Result<SliceMeasure, SimError> {
+    let mut phases = Vec::with_capacity(2);
+    if warm_s > 0.0 {
+        phases.push(Phase::new(qps_start, warm_s, request_type));
+    }
+    phases.push(Phase::ramp(qps_start, qps_end, slice_s, request_type));
+    let metrics = sim.run(&Workload::phased(phases, seed))?;
+    let stats = metrics.latency_stats_between(warm_s, warm_s + slice_s);
+    // Whole-second boundaries (enforced by both configs), so the bucket
+    // range covers exactly the measured slice: no warm-up work leaks in
+    // and no partial trailing bucket dilutes it.
+    let from_bucket = floor_index(warm_s);
+    let to_bucket = floor_index(warm_s + slice_s);
+    let nodes = metrics.node_utilization();
+    let utilization = nodes
+        .iter()
+        .map(|u| u.mean_percent_between(from_bucket, to_bucket))
+        .sum::<f64>()
+        / count_f64(nodes.len())
+        / 100.0;
+    Ok(SliceMeasure {
+        utilization,
+        median_ms: stats.median_ms().unwrap_or(0.0),
+        tail_ms: stats.tail_ms().unwrap_or(0.0),
+        p99_ms: stats.p99_ms().unwrap_or(0.0),
+        drop_fraction: metrics.drop_fraction_between(warm_s, warm_s + slice_s),
+    })
+}

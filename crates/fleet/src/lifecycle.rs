@@ -19,10 +19,9 @@
 //! * grid traces extend periodically over the horizon
 //!   ([`IntensityTrace::day_periodic`] tiling), and routing is re-planned
 //!   every window from the cohort capacity actually alive that day;
-//! * accounting cells are one *(year, site)* pair, fanned across scoped
-//!   worker threads with the same order-preserving slot pattern as the
-//!   sweep and fleet layers, so results are bit-identical serial or
-//!   threaded.
+//! * accounting cells are one *(year, site)* pair, fanned out through
+//!   `junkyard_obs::fanout` like the sweep and fleet layers, so results
+//!   are bit-identical serial or threaded.
 //!
 //! The serving measurements reuse the compiled microsim: within a cell,
 //! identical `(start, end)` load windows share one measured slice (the
@@ -34,7 +33,6 @@
 //! optimistic, which is acceptable for carbon accounting.
 
 use std::collections::HashMap;
-use std::thread;
 
 use serde::{Deserialize, Serialize};
 
@@ -42,19 +40,20 @@ use junkyard_battery::charging::SmartChargePolicy;
 use junkyard_battery::sim::simulate_day;
 use junkyard_battery::state::BatteryState;
 use junkyard_battery::trace_ext::DayStats;
-use junkyard_carbon::convert::{count_f64, counts_ratio, floor_index, index_u64, unit_draw};
+use junkyard_carbon::convert::{count_f64, counts_ratio, index_u64, unit_draw};
 use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Millis, TimeSpan, Watts};
 use junkyard_devices::battery::BatterySpec;
 use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::compiled::CompiledSim;
-use junkyard_microsim::sim::{Phase, SimError, Simulation, Workload};
+use junkyard_microsim::sim::{SimError, Simulation};
 use junkyard_microsim::sweep::decorrelate_seed;
-use junkyard_obs::{ConservedLedger, EventKind, NoopRecorder, Recorder, TraceEvent};
+use junkyard_obs::{fanout, ConservedLedger, EventKind, NoopRecorder, Recorder, TraceEvent};
 
 use crate::faults::{resolve_window, FaultConfig, FaultPlan, ResiliencePolicy, WindowResolution};
 use crate::routing::{plan_window_inputs, RoutingPolicy, SiteWindowInput, WindowAssignment};
 use crate::schedule::{DiurnalSchedule, LoadWindow};
 use crate::site::GridRegion;
+use crate::{measure_slice, SliceMeasure};
 
 /// Days per simulated year (the lifecycle steps whole days; leap days are
 /// ignored like the paper's month-granular accounting).
@@ -1315,18 +1314,6 @@ impl LifecycleResult {
     }
 }
 
-/// What one memoised microsim slice measured: the utilisation that prices
-/// the window's energy, the latency percentiles the SLO hooks track, and
-/// the fraction of accepted requests dropped at bounded queues.
-#[derive(Debug, Clone, Copy)]
-struct SliceMeasure {
-    utilization: f64,
-    median_ms: f64,
-    tail_ms: f64,
-    p99_ms: f64,
-    drop_fraction: f64,
-}
-
 /// The runtime state of one cohort slot during the dynamics pass.
 #[derive(Debug, Clone, Copy)]
 struct SlotState {
@@ -1692,24 +1679,8 @@ impl LifecycleSim {
             plans.push(plan_window_inputs(self.policy, &inputs, window));
             intensities.push(window_intensities);
             if recorder.enabled() {
-                let plan = &plans[w];
-                let t = window.start().seconds();
-                for (s, site) in self.sites.iter().enumerate() {
-                    let qps = plan.site_mean_qps(s);
-                    if qps > 0.0 {
-                        recorder.event(
-                            TraceEvent::new(EventKind::Route, t, site.name(), qps)
-                                .with_detail(&format!("w{w}")),
-                        );
-                    }
-                }
-                let declined = plan.declined_mean_qps();
-                if declined > 0.0 {
-                    recorder.event(
-                        TraceEvent::new(EventKind::Route, t, "declined", declined)
-                            .with_detail(&format!("w{w}")),
-                    );
-                }
+                let names = self.sites.iter().map(LifecycleSite::name);
+                plans[w].record_routes(recorder, window, names);
             }
         }
 
@@ -1795,20 +1766,14 @@ impl LifecycleSim {
             .and_then(ResiliencePolicy::retry_policy)
             .map_or(0.0, crate::faults::RetryPolicy::attempt_grams);
 
-        // Parallel pass: (year, site) cells into order-preserving slots.
+        // Parallel pass: (year, site) cells, returned in cell order.
         let n = years_spanned * sites;
-        let workers = self
-            .config
-            .parallelism
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZero::get))
-            .min(n)
-            .max(1);
         let cell_inputs: Vec<(usize, usize)> = (0..n).map(|i| (i / sites, i % sites)).collect();
-        let mut slots: Vec<Option<Result<LifecycleCell, SimError>>> =
-            (0..n).map(|_| None).collect();
-        if workers == 1 {
-            for (slot, &(year, site)) in slots.iter_mut().zip(&cell_inputs) {
-                *slot = Some(self.measure_cell(
+        let cells = fanout::map_slots(
+            fanout::workers(self.config.parallelism, n),
+            cell_inputs,
+            |_, (year, site)| {
+                self.measure_cell(
                     year,
                     site,
                     days,
@@ -1818,47 +1783,11 @@ impl LifecycleSim {
                     &dynamics,
                     resolutions,
                     retry_grams,
-                ));
-            }
-        } else {
-            type CellSlot<'s> = (
-                usize,
-                usize,
-                &'s mut Option<Result<LifecycleCell, SimError>>,
-            );
-            let mut shares: Vec<Vec<CellSlot<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-            for (index, (slot, &(year, site))) in slots.iter_mut().zip(&cell_inputs).enumerate() {
-                shares[index % workers].push((year, site, slot));
-            }
-            thread::scope(|scope| {
-                for share in shares {
-                    let windows = &windows;
-                    let plans = &plans;
-                    let intensities = &intensities;
-                    let dynamics = &dynamics;
-                    scope.spawn(move || {
-                        for (year, site, slot) in share {
-                            *slot = Some(self.measure_cell(
-                                year,
-                                site,
-                                days,
-                                windows,
-                                plans,
-                                intensities,
-                                dynamics,
-                                resolutions,
-                                retry_grams,
-                            ));
-                        }
-                    });
-                }
-            });
-        }
-
-        let mut cells = Vec::with_capacity(n);
-        for slot in slots {
-            cells.push(slot.ok_or(SimError::WorkerLost)??);
-        }
+                )
+            },
+        )?
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
         let mut day_ledger = vec![
             DayLedger {
@@ -2019,8 +1948,7 @@ impl LifecycleSim {
         let site = &self.sites[site_idx];
         let wpd = self.config.windows_per_day;
         let sites = self.sites.len();
-        // Slices are memoised by exact (start, end) bit pattern and
-        // never iterated; window order drives the accumulation.
+        // lint:allow(nondeterministic-iteration): lookup-only memo keyed by exact (start, end) bits; window order drives the accumulation
         let mut memo: HashMap<(u64, u64), SliceMeasure> = HashMap::new();
 
         let mut requests = 0.0;
@@ -2090,7 +2018,15 @@ impl LifecycleSim {
                     } else {
                         let seed =
                             decorrelate_seed(self.config.seed, index_u64(w * sites + site_idx) + 1);
-                        let measured = self.measure_slice(site, eff_start, eff_end, seed)?;
+                        let measured = measure_slice(
+                            &site.sim,
+                            site.request_type.as_deref(),
+                            self.config.warmup_s,
+                            self.config.sim_slice_s,
+                            eff_start,
+                            eff_end,
+                            seed,
+                        )?;
                         memo.insert(key, measured);
                         measured
                     };
@@ -2200,47 +2136,6 @@ impl LifecycleSim {
             worst_tail_ms: Millis::from_millis(worst_tail_ms),
             worst_p99_ms: Millis::from_millis(worst_p99_ms),
             daily,
-        })
-    }
-
-    /// Runs one representative microsim slice (warm-up at the start rate,
-    /// then a ramp to the end rate) and returns its [`SliceMeasure`] over
-    /// the measured window.
-    fn measure_slice(
-        &self,
-        site: &LifecycleSite,
-        qps_start: f64,
-        qps_end: f64,
-        seed: u64,
-    ) -> Result<SliceMeasure, SimError> {
-        let warm = self.config.warmup_s;
-        let slice = self.config.sim_slice_s;
-        let request_type = site.request_type.as_deref();
-        let mut phases = Vec::with_capacity(2);
-        if warm > 0.0 {
-            phases.push(Phase::new(qps_start, warm, request_type));
-        }
-        phases.push(Phase::ramp(qps_start, qps_end, slice, request_type));
-        let workload = Workload::phased(phases, seed);
-        let metrics = site.sim.run(&workload)?;
-        let stats = metrics.latency_stats_between(warm, warm + slice);
-        // Whole-second boundaries (enforced by `LifecycleConfig`), so the
-        // bucket range covers exactly the measured slice.
-        let from_bucket = floor_index(warm);
-        let to_bucket = floor_index(warm + slice);
-        let nodes = metrics.node_utilization();
-        let utilization = nodes
-            .iter()
-            .map(|u| u.mean_percent_between(from_bucket, to_bucket))
-            .sum::<f64>()
-            / count_f64(nodes.len())
-            / 100.0;
-        Ok(SliceMeasure {
-            utilization,
-            median_ms: stats.median_ms().unwrap_or(0.0),
-            tail_ms: stats.tail_ms().unwrap_or(0.0),
-            p99_ms: stats.p99_ms().unwrap_or(0.0),
-            drop_fraction: metrics.drop_fraction_between(warm, warm + slice),
         })
     }
 }

@@ -3,26 +3,24 @@
 //! carbon integrated per window.
 //!
 //! Cells are independent simulations, so [`FleetSim::run`] fans them out
-//! across `std::thread::scope` workers with the same order-preserving slot
-//! pattern as the sweep layer: workers write into pre-assigned slots and
-//! totals are accumulated in cell order after the join, so the result is
-//! identical whatever the worker count. Per-cell workload seeds come from
-//! [`decorrelate_seed`], so neighbouring cells replay independent arrival
-//! sequences.
-
-use std::thread;
+//! through [`fanout::map_slots`] like the sweep layer: results come back
+//! in cell order and totals are accumulated serially after the join, so
+//! the result is identical whatever the worker count. Per-cell workload
+//! seeds come from [`decorrelate_seed`], so neighbouring cells replay
+//! independent arrival sequences.
 
 use serde::{Deserialize, Serialize};
 
-use junkyard_carbon::convert::{count_f64, floor_index, index_u64};
+use junkyard_carbon::convert::index_u64;
 use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Millis, Qps, TimeSpan};
-use junkyard_microsim::sim::{Phase, SimError, Workload};
+use junkyard_microsim::sim::SimError;
 use junkyard_microsim::sweep::decorrelate_seed;
-use junkyard_obs::{EventKind, NoopRecorder, Recorder, TraceEvent};
+use junkyard_obs::{fanout, NoopRecorder, Recorder};
 
 use crate::routing::{plan_window, RoutingPolicy, WindowAssignment};
 use crate::schedule::{DiurnalSchedule, LoadWindow};
 use crate::site::FleetSite;
+use crate::{measure_slice, SliceMeasure};
 
 /// Tunables of a fleet run: accounting granularity, the length of the
 /// representative microsim slice per cell, seeding and threading.
@@ -469,10 +467,9 @@ impl FleetSim {
 
     /// Runs the fleet and returns the accounting grid.
     ///
-    /// Cells fan out across scoped worker threads, strided so expensive
-    /// peak-hour cells spread over workers; every worker writes its cells
-    /// into pre-assigned slots and the totals are accumulated in cell
-    /// order afterwards, so the result is bit-identical to a serial run.
+    /// Cells fan out through [`fanout::map_slots`], which returns them in
+    /// cell order; the totals are accumulated serially afterwards, so the
+    /// result is bit-identical to a serial run.
     ///
     /// # Errors
     ///
@@ -498,64 +495,19 @@ impl FleetSim {
         let windows = self.schedule.windows(self.config.windows_per_day);
         let assignments = self.assignments();
         if recorder.enabled() {
-            for (w, assignment) in assignments.iter().enumerate() {
-                let t = windows[w].start().seconds();
-                for (s, site) in self.sites.iter().enumerate() {
-                    let qps = assignment.site_mean_qps(s);
-                    if qps > 0.0 {
-                        recorder.event(
-                            TraceEvent::new(EventKind::Route, t, site.name(), qps)
-                                .with_detail(&format!("w{w}")),
-                        );
-                    }
-                }
-                let declined = assignment.declined_mean_qps();
-                if declined > 0.0 {
-                    recorder.event(
-                        TraceEvent::new(EventKind::Route, t, "declined", declined)
-                            .with_detail(&format!("w{w}")),
-                    );
-                }
+            for (window, assignment) in windows.iter().zip(&assignments) {
+                assignment.record_routes(recorder, window, self.sites.iter().map(FleetSite::name));
             }
         }
         let sites = self.sites.len();
         let n = windows.len() * sites;
-        let workers = self
-            .config
-            .parallelism
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZero::get))
-            .min(n)
-            .max(1);
-
+        let workers = fanout::workers(self.config.parallelism, n);
         let cell_inputs: Vec<(usize, usize)> = (0..n).map(|i| (i / sites, i % sites)).collect();
-        let mut slots: Vec<Option<Result<FleetCell, SimError>>> = (0..n).map(|_| None).collect();
-        if workers == 1 {
-            for (slot, &(w, s)) in slots.iter_mut().zip(&cell_inputs) {
-                *slot = Some(self.measure_cell(w, s, &windows[w], &assignments[w]));
-            }
-        } else {
-            type CellSlot<'s> = (usize, usize, &'s mut Option<Result<FleetCell, SimError>>);
-            let mut shares: Vec<Vec<CellSlot<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-            for (index, (slot, &(w, s))) in slots.iter_mut().zip(&cell_inputs).enumerate() {
-                shares[index % workers].push((w, s, slot));
-            }
-            thread::scope(|scope| {
-                for share in shares {
-                    let windows = &windows;
-                    let assignments = &assignments;
-                    scope.spawn(move || {
-                        for (w, s, slot) in share {
-                            *slot = Some(self.measure_cell(w, s, &windows[w], &assignments[w]));
-                        }
-                    });
-                }
-            });
-        }
-
-        let mut cells = Vec::with_capacity(n);
-        for slot in slots {
-            cells.push(slot.ok_or(SimError::WorkerLost)??);
-        }
+        let cells = fanout::map_slots(workers, cell_inputs, |_, (w, s)| {
+            self.measure_cell(w, s, &windows[w], &assignments[w])
+        })?
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         let mut total_requests = 0.0;
         let mut dropped_requests = 0.0;
         let mut total_operational = GramsCo2e::ZERO;
@@ -604,44 +556,20 @@ impl FleetSim {
         let mean_qps = (qps_start + qps_end) / 2.0;
         let cell_index = index_u64(window_idx * self.sites.len() + site_idx);
 
-        let (utilization, median_ms, tail_ms, drop_fraction) = if mean_qps > 0.0 {
-            let warm = self.config.warmup_s;
-            let slice = self.config.sim_slice_s;
-            let request_type = site.request_type_name();
-            let mut phases = Vec::with_capacity(2);
-            if warm > 0.0 {
-                phases.push(Phase::new(qps_start, warm, request_type));
-            }
-            phases.push(Phase::ramp(qps_start, qps_end, slice, request_type));
-            let workload = Workload::phased(phases, decorrelate_seed(self.config.seed, cell_index));
-            let metrics = site.sim().run(&workload)?;
-            let stats = metrics.latency_stats_between(warm, warm + slice);
-            // Whole-second boundaries (enforced by `FleetConfig`), so the
-            // bucket range covers exactly the measured slice: no warm-up
-            // work leaks in and no partial trailing bucket dilutes it.
-            let from_bucket = floor_index(warm);
-            let to_bucket = floor_index(warm + slice);
-            let nodes = metrics.node_utilization();
-            let utilization = nodes
-                .iter()
-                .map(|u| u.mean_percent_between(from_bucket, to_bucket))
-                .sum::<f64>()
-                / count_f64(nodes.len())
-                / 100.0;
-            // The slice's drop share extrapolates to the window the same
-            // way latency and utilisation do (0.0 for zero-offered slices).
-            let drop_fraction = metrics.drop_fraction_between(warm, warm + slice);
-            (
-                utilization,
-                stats.median_ms().unwrap_or(0.0),
-                stats.tail_ms().unwrap_or(0.0),
-                drop_fraction,
-            )
+        let slice = if mean_qps > 0.0 {
+            measure_slice(
+                site.sim(),
+                site.request_type_name(),
+                self.config.warmup_s,
+                self.config.sim_slice_s,
+                qps_start,
+                qps_end,
+                decorrelate_seed(self.config.seed, cell_index),
+            )?
         } else {
-            (0.0, 0.0, 0.0, 0.0)
+            SliceMeasure::default()
         };
-
-        let energy = site.power_at(utilization) * window.duration();
+        let energy = site.power_at(slice.utilization) * window.duration();
         let intensity = site
             .region()
             .mean_intensity_between(window.start(), window.end());
@@ -653,11 +581,11 @@ impl FleetSim {
             site: site_idx,
             qps_start: Qps::from_per_second(qps_start),
             qps_end: Qps::from_per_second(qps_end),
-            requests: offered * (1.0 - drop_fraction),
-            dropped_requests: offered * drop_fraction,
-            utilization,
-            median_ms: Millis::from_millis(median_ms),
-            tail_ms: Millis::from_millis(tail_ms),
+            requests: offered * (1.0 - slice.drop_fraction),
+            dropped_requests: offered * slice.drop_fraction,
+            utilization: slice.utilization,
+            median_ms: Millis::from_millis(slice.median_ms),
+            tail_ms: Millis::from_millis(slice.tail_ms),
             energy,
             intensity,
             operational,

@@ -1,7 +1,11 @@
 //! The workspace call graph and the `fanout-purity` analysis.
 //!
-//! Roots are the closures handed to `thread::scope` spawn sites (any
-//! `.spawn(` call outside test code). From each root the analysis walks
+//! Roots are the argument lists (holding the worker closures) of every
+//! `.spawn(` call outside test code and of every non-test call to a
+//! function that itself contains such a spawn — a fan-out helper like
+//! `junkyard_obs::fanout::map_slots` runs the caller's closure on its
+//! workers, so without the second kind the helper would hide every
+//! worker body. From each root the analysis walks
 //! name-resolved call edges (see [`crate::symbols`]) to every reachable
 //! function and checks each one for effects that would break the
 //! bit-identical-at-any-worker-count contract: wall-clock reads,
@@ -16,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::lexer::TokenKind;
-use crate::parser::ParsedFile;
+use crate::parser::{matching_close, ParsedFile};
 use crate::rules::{hash_bindings, hash_iteration_points, Finding, RuleId, AMBIENT_RNG_IDENTS};
 use crate::source::SourceFile;
 use crate::symbols::{Call, FnRef, Symbols};
@@ -42,17 +46,21 @@ impl Fanout {
     }
 }
 
-/// One `.spawn(` call site.
+/// One fan-out root: the argument list of a `.spawn(` call, or of a
+/// call to a fn that spawns (its closure arguments run on the workers).
 #[derive(Debug)]
-struct SpawnSite {
+struct Root {
     file: usize,
-    line: u32,
-    /// Significant-token range of the spawn call's argument list.
+    /// Significant-token range of the call's argument list.
     range: (usize, usize),
+    /// How findings name the root (`the \`thread::scope\` fan-out at
+    /// path:line`).
+    via: String,
 }
 
-/// Extracts every call expression in the sig range `[start, end)`.
-fn collect_calls(file: &SourceFile, start: usize, end: usize) -> Vec<Call> {
+/// Extracts every call expression in the sig range `[start, end)`,
+/// with the sig index of the called name.
+fn collect_calls(file: &SourceFile, start: usize, end: usize) -> Vec<(usize, Call)> {
     let mut calls = Vec::new();
     let n = end.min(file.sig.len());
     for i in start..n {
@@ -64,20 +72,20 @@ fn collect_calls(file: &SourceFile, start: usize, end: usize) -> Vec<Call> {
         }
         let name = file.sig_text(i).to_string();
         if i == 0 {
-            calls.push(Call::Plain(name));
+            calls.push((i, Call::Plain(name)));
             continue;
         }
         match file.sig_text(i - 1) {
             "fn" => {}
-            "." => calls.push(Call::Method(name)),
+            "." => calls.push((i, Call::Method(name))),
             "::" => {
                 if i >= 2 && file.sig_kind(i - 2) == TokenKind::Ident {
-                    calls.push(Call::Qualified(file.sig_text(i - 2).to_string(), name));
+                    calls.push((i, Call::Qualified(file.sig_text(i - 2).to_string(), name)));
                 } else {
-                    calls.push(Call::Plain(name));
+                    calls.push((i, Call::Plain(name)));
                 }
             }
-            _ => calls.push(Call::Plain(name)),
+            _ => calls.push((i, Call::Plain(name))),
         }
     }
     calls
@@ -85,7 +93,7 @@ fn collect_calls(file: &SourceFile, start: usize, end: usize) -> Vec<Call> {
 
 /// Finds every non-test `.spawn(` call and the sig range of its
 /// argument list (which contains the worker closure).
-fn spawn_sites(files: &[SourceFile]) -> Vec<SpawnSite> {
+fn spawn_sites(files: &[SourceFile]) -> Vec<Root> {
     let mut sites = Vec::new();
     for (file_idx, file) in files.iter().enumerate() {
         let n = file.sig.len();
@@ -101,33 +109,64 @@ fn spawn_sites(files: &[SourceFile]) -> Vec<SpawnSite> {
             if file.sig_in_test(i) {
                 continue;
             }
-            // Match the argument parens.
-            let mut depth = 0usize;
-            let mut j = i + 1;
-            let close = loop {
-                if j >= n {
-                    break n;
-                }
-                match file.sig_text(j) {
-                    "(" => depth += 1,
-                    ")" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break j;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            };
-            sites.push(SpawnSite {
+            sites.push(Root {
                 file: file_idx,
-                line: file.sig_line(i),
-                range: (i + 2, close),
+                range: (i + 2, matching_close(file, i + 1)),
+                via: format!(
+                    "the `thread::scope` fan-out at {}:{}",
+                    file.rel_path,
+                    file.sig_line(i)
+                ),
             });
         }
     }
     sites
+}
+
+/// Finds the argument lists of every non-test call to a fn whose body
+/// holds one of the `spawns`.
+fn helper_call_roots(
+    files: &[SourceFile],
+    parsed: &[ParsedFile],
+    symbols: &Symbols,
+    spawns: &[Root],
+) -> Vec<Root> {
+    let helpers: BTreeSet<FnRef> = spawns
+        .iter()
+        .flat_map(|spawn| {
+            let fns = parsed[spawn.file].fns.iter().enumerate();
+            fns.filter(|(_, f)| {
+                f.body
+                    .is_some_and(|(lo, hi)| (lo..hi).contains(&spawn.range.0))
+            })
+            .map(|(fn_idx, _)| (spawn.file, fn_idx))
+        })
+        .collect();
+    let mut roots = Vec::new();
+    for (file_idx, file) in files.iter().enumerate() {
+        for (i, call) in collect_calls(file, 0, file.sig.len()) {
+            if file.whole_file_test || file.sig_in_test(i) {
+                continue;
+            }
+            if let Some(helper) = symbols
+                .resolve(parsed, &call)
+                .into_iter()
+                .find(|r| helpers.contains(r))
+            {
+                roots.push(Root {
+                    file: file_idx,
+                    range: (i + 2, matching_close(file, i + 1)),
+                    via: format!(
+                        "the call to fan-out helper `{}` at {}:{}",
+                        parsed[helper.0].fns[helper.1].qualified(),
+                        file.rel_path,
+                        file.sig_line(i)
+                    ),
+                });
+            }
+        }
+    }
+    roots
 }
 
 /// One impure effect found in a token range.
@@ -203,10 +242,10 @@ fn impurities(
     out
 }
 
-/// Runs the whole fan-out analysis: spawn roots → reachability →
-/// purity findings + per-file scopes. `clock_sanctioned[i]` marks files
-/// allowed to read wall clocks (the bench crate and the obs profiler
-/// module).
+/// Runs the whole fan-out analysis: spawn and helper-call roots →
+/// reachability → purity findings + per-file scopes.
+/// `clock_sanctioned[i]` marks files allowed to read wall clocks (the
+/// bench crate and the obs profiler module).
 #[must_use]
 pub fn analyze(
     files: &[SourceFile],
@@ -214,7 +253,9 @@ pub fn analyze(
     symbols: &Symbols,
     clock_sanctioned: &[bool],
 ) -> Fanout {
-    let sites = spawn_sites(files);
+    let mut roots = spawn_sites(files);
+    let helper_roots = helper_call_roots(files, parsed, symbols, &roots);
+    roots.extend(helper_roots);
     // Per-file hash context, computed once.
     let per_file_bindings: Vec<Vec<String>> = files.iter().map(hash_bindings).collect();
     let per_file_points: Vec<Vec<(usize, String)>> = files
@@ -223,19 +264,19 @@ pub fn analyze(
         .map(|(f, b)| hash_iteration_points(f, b))
         .collect();
 
-    // BFS over call edges from each spawn site's closure.
+    // BFS over call edges from each root's closure.
     let mut visited: BTreeSet<FnRef> = BTreeSet::new();
-    let mut origin: BTreeMap<FnRef, usize> = BTreeMap::new(); // site index
+    let mut origin: BTreeMap<FnRef, usize> = BTreeMap::new(); // root index
     let mut queue: VecDeque<FnRef> = VecDeque::new();
-    for (site_idx, site) in sites.iter().enumerate() {
-        let file = &files[site.file];
-        for call in collect_calls(file, site.range.0, site.range.1) {
+    for (root_idx, root) in roots.iter().enumerate() {
+        let file = &files[root.file];
+        for (_, call) in collect_calls(file, root.range.0, root.range.1) {
             for r in symbols.resolve(parsed, &call) {
                 if files[r.0].whole_file_test || files[r.0].sig_in_test(parsed[r.0].fns[r.1].at) {
                     continue;
                 }
                 if visited.insert(r) {
-                    origin.insert(r, site_idx);
+                    origin.insert(r, root_idx);
                     queue.push_back(r);
                 }
             }
@@ -245,8 +286,8 @@ pub fn analyze(
         let Some((start, end)) = parsed[r.0].fns[r.1].body else {
             continue;
         };
-        let site_idx = origin[&r];
-        for call in collect_calls(&files[r.0], start, end) {
+        let root_idx = origin[&r];
+        for (_, call) in collect_calls(&files[r.0], start, end) {
             for next in symbols.resolve(parsed, &call) {
                 if files[next.0].whole_file_test
                     || files[next.0].sig_in_test(parsed[next.0].fns[next.1].at)
@@ -254,32 +295,29 @@ pub fn analyze(
                     continue;
                 }
                 if visited.insert(next) {
-                    origin.insert(next, site_idx);
+                    origin.insert(next, root_idx);
                     queue.push_back(next);
                 }
             }
         }
     }
 
-    // Findings: direct impurities inside spawn closures...
+    // Findings: direct impurities inside root closures...
     let mut findings = Vec::new();
-    for site in &sites {
-        let file = &files[site.file];
+    for root in &roots {
+        let file = &files[root.file];
         for imp in impurities(
             file,
-            site.range.0,
-            site.range.1,
-            clock_sanctioned[site.file],
-            &per_file_points[site.file],
+            root.range.0,
+            root.range.1,
+            clock_sanctioned[root.file],
+            &per_file_points[root.file],
         ) {
             findings.push(Finding {
                 rule: RuleId::FanoutPurity,
                 path: file.rel_path.clone(),
                 line: imp.line,
-                message: format!(
-                    "spawn closure (`thread::scope` fan-out at {}:{}) {}",
-                    file.rel_path, site.line, imp.what
-                ),
+                message: format!("closure in {} {}", root.via, imp.what),
                 suppressed: None,
             });
         }
@@ -299,7 +337,6 @@ pub fn analyze(
         if imps.is_empty() {
             continue;
         }
-        let site = &sites[origin[&r]];
         let mut whats: Vec<String> = imps.iter().map(|i| i.what.clone()).collect();
         whats.dedup();
         let shown = if whats.len() > 3 {
@@ -312,20 +349,18 @@ pub fn analyze(
             path: file.rel_path.clone(),
             line: f.line,
             message: format!(
-                "fn `{}` is reachable from the `thread::scope` fan-out at {}:{} and {}",
+                "fn `{}` is reachable from {} and {shown}",
                 f.qualified(),
-                files[site.file].rel_path,
-                site.line,
-                shown
+                roots[origin[&r]].via
             ),
             suppressed: None,
         });
     }
 
-    // Scopes: spawn ranges plus reachable fn bodies, per file.
+    // Scopes: root ranges plus reachable fn bodies, per file.
     let mut scopes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); files.len()];
-    for site in &sites {
-        scopes[site.file].push(site.range);
+    for root in &roots {
+        scopes[root.file].push(root.range);
     }
     for &r in &visited {
         if let Some(body) = parsed[r.0].fns[r.1].body {
@@ -396,6 +431,55 @@ mod tests {
         assert_eq!(fanout.findings.len(), 1);
         assert!(fanout.findings[0].message.contains("mutable static"));
         assert!(fanout.findings[0].message.contains("W::step"));
+    }
+
+    #[test]
+    fn later_methods_of_an_impl_are_reachable() {
+        let (_, _, fanout) = run(&[(
+            "crates/a/src/lib.rs",
+            "struct W;\nimpl W {\n    fn first(&self) {}\n    fn second(&self) { let _t = std::time::Instant::now(); }\n}\n\
+             pub fn run(w: &W) {\n    std::thread::scope(|s| { s.spawn(|| w.second()); });\n}\n",
+        )]);
+        assert_eq!(fanout.findings.len(), 1, "{:?}", fanout.findings);
+        assert!(fanout.findings[0].message.contains("fn `W::second`"));
+        assert_eq!(fanout.findings[0].line, 4);
+    }
+
+    #[test]
+    fn closures_passed_to_a_spawning_helper_are_roots() {
+        let (_, _, fanout) = run(&[
+            (
+                "crates/a/src/lib.rs",
+                "pub fn map_all<F: Fn(u64) -> u64 + Sync>(n: u64, f: F) {\n    \
+                 std::thread::scope(|s| { s.spawn(|| f(n)); });\n}\n",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "pub fn drive() {\n    a::map_all(3, |x| x + stamp());\n    \
+                 a::map_all(4, move |x| {\n        let _t = std::time::Instant::now();\n        x\n    });\n}\n\
+                 fn stamp() -> u64 { std::time::SystemTime::now(); 0 }\n\
+                 fn serial() -> u64 { stamp() }\n",
+            ),
+        ]);
+        let lines: Vec<(&str, u32)> = fanout
+            .findings
+            .iter()
+            .map(|f| (f.path.as_str(), f.line))
+            .collect();
+        // The inline closure's own clock read (line 4) and the helper it
+        // calls (`stamp`, line 8) are both flagged.
+        assert_eq!(
+            lines,
+            vec![("crates/b/src/lib.rs", 4), ("crates/b/src/lib.rs", 8)],
+            "{:?}",
+            fanout.findings
+        );
+        assert!(fanout.findings[0]
+            .message
+            .contains("closure in the call to fan-out helper `map_all` at crates/b/src/lib.rs:3"));
+        assert!(fanout.findings[1].message.contains(
+            "reachable from the call to fan-out helper `map_all` at crates/b/src/lib.rs:2"
+        ));
     }
 
     #[test]

@@ -214,7 +214,8 @@ fn parse_impl_header(file: &SourceFile, at: usize) -> Option<(String, usize)> {
 }
 
 /// Skips a balanced `< ... >` group starting at `open`, returning the
-/// index after the closing `>`.
+/// index after the closing `>`. The `>` of a `->` (as in an
+/// `F: Fn(u64) -> u64` bound) closes nothing.
 fn skip_angles(file: &SourceFile, open: usize) -> Option<usize> {
     let n = file.sig.len();
     let mut depth = 0isize;
@@ -222,7 +223,7 @@ fn skip_angles(file: &SourceFile, open: usize) -> Option<usize> {
     while j < n {
         match file.sig_text(j) {
             "<" => depth += 1,
-            ">" => {
+            ">" if file.sig_text(j - 1) != "-" => {
                 depth -= 1;
                 if depth == 0 {
                     return Some(j + 1);
@@ -256,8 +257,9 @@ fn has_pub_qualifier(file: &SourceFile, at: usize) -> bool {
 }
 
 /// Parses a `fn` item starting at the `fn` keyword. Returns the item (if
-/// recognisable) and the sig index to resume scanning from — which is
-/// *inside* the body so nested items are still visited.
+/// recognisable) and the sig index to resume scanning from — the body's
+/// opening `{`, so the scanner counts it (keeping the enclosing `impl`
+/// on the stack until its own `}`) and still visits nested items.
 fn parse_fn(file: &SourceFile, at: usize, self_ty: Option<&str>) -> (Option<FnItem>, usize) {
     let n = file.sig.len();
     let name_idx = at + 1;
@@ -295,7 +297,7 @@ fn parse_fn(file: &SourceFile, at: usize, self_ty: Option<&str>) -> (Option<FnIt
         guard += 1;
     };
     let body = body.map(|open| {
-        let close = matching_brace(file, open);
+        let close = matching_close(file, open);
         (open + 1, close)
     });
     let item = FnItem {
@@ -307,34 +309,35 @@ fn parse_fn(file: &SourceFile, at: usize, self_ty: Option<&str>) -> (Option<FnIt
         params,
         body,
     };
-    // Resume just after the opening brace (or after the signature).
+    // Resume at the opening brace (or after the signature).
     let resume = match item.body {
-        Some((start, _)) => start,
+        Some((start, _)) => start - 1,
         None => k.min(n),
     };
     (Some(item), resume.max(at + 1))
 }
 
-/// Returns the sig index of the `}` matching the `{` at `open` (or the
-/// end of file).
-fn matching_brace(file: &SourceFile, open: usize) -> usize {
-    let n = file.sig.len();
+/// Returns the sig index of the `}` or `)` matching the `{` or `(` at
+/// `open` (or the end of file).
+pub(crate) fn matching_close(file: &SourceFile, open: usize) -> usize {
+    let (opener, closer) = if file.sig_text(open) == "(" {
+        ("(", ")")
+    } else {
+        ("{", "}")
+    };
     let mut depth = 0usize;
-    let mut j = open;
-    while j < n {
-        match file.sig_text(j) {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
+    for j in open..file.sig.len() {
+        let text = file.sig_text(j);
+        if text == opener {
+            depth += 1;
+        } else if text == closer {
+            depth -= 1;
+            if depth == 0 {
+                return j;
             }
-            _ => {}
         }
-        j += 1;
     }
-    n
+    file.sig.len()
 }
 
 /// Parses a parenthesised parameter list starting at `(`, returning the
@@ -469,7 +472,7 @@ fn parse_struct(file: &SourceFile, at: usize) -> (Option<StructItem>, usize) {
             at + 1,
         );
     }
-    let close = matching_brace(file, j);
+    let close = matching_close(file, j);
     let fields = parse_fields(file, j + 1, close);
     (
         Some(StructItem {
@@ -586,11 +589,13 @@ mod tests {
     #[test]
     fn impl_blocks_qualify_methods() {
         let parsed = parse_src(
-            "struct Foo;\nimpl Foo {\n    pub fn get(&self) -> f64 { 1.0 }\n}\n\
-             impl std::fmt::Display for Foo {\n    fn fmt(&self) -> bool { true }\n}\n",
+            "struct Foo;\nimpl Foo {\n    pub fn get(&self) -> f64 { 1.0 }\n    fn set(&mut self) {}\n}\n\
+             impl std::fmt::Display for Foo {\n    fn fmt(&self) -> bool { true }\n}\n\
+             fn free() {}\n",
         );
         let names: Vec<String> = parsed.fns.iter().map(FnItem::qualified).collect();
-        assert_eq!(names, vec!["Foo::get".to_string(), "Foo::fmt".to_string()]);
+        // Every method keeps its impl's type; the impl closes at its own `}`.
+        assert_eq!(names, vec!["Foo::get", "Foo::set", "Foo::fmt", "free"]);
         // Receiver `&self` is not a param.
         assert!(parsed.fns[0].params.is_empty());
     }

@@ -29,9 +29,9 @@ pub enum RuleId {
     /// Arithmetic mixing unit dimensions inferred from name suffixes
     /// (`_ms` vs `_secs`, `_grams` vs `_kg`, ...).
     UnitSuffixConsistency,
-    /// A function reachable from a `thread::scope` spawn closure that
-    /// touches wall clocks, ambient RNG, mutable statics or
-    /// hash-iteration.
+    /// A function reachable from a fan-out worker closure (a `.spawn(`
+    /// closure, or a closure passed to a fn that spawns) that touches
+    /// wall clocks, ambient RNG, mutable statics or hash-iteration.
     FanoutPurity,
     /// `unwrap()`/`.expect(` /`panic!` in non-test library code.
     PanicInLibrary,
@@ -109,8 +109,9 @@ impl RuleId {
                  never add, compare or assign across dimensions"
             }
             RuleId::FanoutPurity => {
-                "every function reachable from a thread::scope spawn closure is pure of wall \
-                 clocks, ambient RNG, mutable statics and hash iteration"
+                "every function reachable from a fan-out worker closure (spawned, or passed to a \
+                 spawning helper) is pure of wall clocks, ambient RNG, mutable statics and hash \
+                 iteration"
             }
             RuleId::UntypedQuantity => {
                 "public accounting quantities carry units newtypes, not bare f64; the bare count \

@@ -54,12 +54,19 @@ fn every_rule_fires_and_every_suppression_suppresses() {
         vec![(11, false), (23, false), (26, true)]
     );
 
-    // Rule 2: every wall-clock read fires — inside `clocked` (35) and
-    // `stamped` (42) and in serial code (57); the one-liner under the
-    // allow is suppressed (two mentions on one line dedup to one).
+    // Rule 2: every wall-clock read fires — inside `clocked` (35),
+    // `stamped` (42), serial code (57) and the closure handed to
+    // `on_worker` (118); the one-liner under the allow is suppressed (two
+    // mentions on one line dedup to one).
     assert_eq!(
         lines_of(&analysis, RuleId::WallClockInSim),
-        vec![(35, false), (42, false), (57, false), (62, true)]
+        vec![
+            (35, false),
+            (42, false),
+            (57, false),
+            (62, true),
+            (118, false)
+        ]
     );
 
     // Rule 3: entropy-seeded RNG fires; test code stays quiet.
@@ -71,9 +78,18 @@ fn every_rule_fires_and_every_suppression_suppresses() {
     // `merge_trace` (line 105) trips the zero-tolerance
     // recorder-in-fanout facet twice over (mint + shard merge). The
     // equally impure `wall_elapsed` (line 56) is off-path and NOT
-    // flagged here.
+    // flagged here. The closure passed to the local spawning helper
+    // `on_worker` (line 118) is a root of its own and fires too.
     let fanout = lines_of(&analysis, RuleId::FanoutPurity);
-    assert_eq!(fanout, vec![(34, false), (41, true), (105, false)]);
+    assert_eq!(
+        fanout,
+        vec![(34, false), (41, true), (105, false), (118, false)]
+    );
+    assert!(analysis.findings.iter().any(|f| {
+        f.rule == RuleId::FanoutPurity
+            && f.line == 118
+            && f.message.contains("call to fan-out helper `on_worker`")
+    }));
     assert!(analysis.findings.iter().any(|f| {
         f.rule == RuleId::FanoutPurity
             && f.message.contains("fn `clocked`")
@@ -141,8 +157,8 @@ fn every_rule_fires_and_every_suppression_suppresses() {
     assert_eq!(analysis.unused_suppressions[0].rule, "ambient-rng");
 
     // Test code fired nothing: every finding sits outside the
-    // `#[cfg(test)]` module (first line 111).
-    assert!(analysis.findings.iter().all(|f| f.line < 111));
+    // `#[cfg(test)]` module (first line 121).
+    assert!(analysis.findings.iter().all(|f| f.line < 121));
 }
 
 #[test]

@@ -52,6 +52,9 @@ pub mod sweep;
 
 pub use app::{Application, RequestType, ServiceCall, Stage};
 pub use compiled::{CompiledSim, CoreHeap, LazyArrivals};
+/// The fan-out primitive sweeps run on, re-exported for drivers that fan
+/// whole sweeps out without depending on `junkyard_obs` themselves.
+pub use junkyard_obs::fanout;
 pub use metrics::{LatencyStats, NodeQueueStats, NodeUtilization, RunMetrics};
 pub use network::NetworkModel;
 pub use node::NodeSpec;

@@ -387,10 +387,15 @@ pub enum SimError {
     NoNodes,
     /// A phase requested a request type the application does not define.
     UnknownRequestType(String),
-    /// A fan-out worker terminated without filling its result slot (only
-    /// possible if the worker itself died; never observed on a healthy
-    /// run, but typed so the fan-out drivers stay panic-free).
+    /// A fan-out worker panicked before filling its result slots (see
+    /// [`junkyard_obs::fanout::WorkerLost`]).
     WorkerLost,
+}
+
+impl From<junkyard_obs::fanout::WorkerLost> for SimError {
+    fn from(_: junkyard_obs::fanout::WorkerLost) -> Self {
+        SimError::WorkerLost
+    }
 }
 
 impl fmt::Display for SimError {

@@ -2,15 +2,12 @@
 //! utilisation scenario (Figure 8).
 //!
 //! Sweep points are independent simulations, so [`SweepConfig::run`] fans
-//! them out across `std::thread::scope` workers: the simulation is compiled
-//! once, shared by reference, and each worker writes its points into
-//! pre-assigned output slots — results are deterministic and in offered-load
-//! order regardless of scheduling.
-
-use std::thread;
+//! them out through [`fanout::map_slots`]: the simulation is compiled
+//! once, shared by reference, and results come back in offered-load order
+//! regardless of scheduling.
 
 use junkyard_carbon::convert::{counts_ratio, index_u64};
-use junkyard_obs::{TraceRecorder, TraceShard};
+use junkyard_obs::{fanout, NoopRecorder, Recorder, TraceRecorder};
 
 use serde::{Deserialize, Serialize};
 
@@ -273,40 +270,14 @@ impl SweepConfig {
         }
     }
 
-    /// Measures one load point against a compiled simulation.
-    fn measure_point(&self, sim: &CompiledSim, index: usize) -> Result<CurvePoint, SimError> {
-        let qps = self.qps_points[index];
-        let workload = Workload::steady(
-            qps,
-            self.warmup_s + self.duration_s,
-            self.request_type.as_deref(),
-            self.point_seed(index),
-        );
-        let metrics = sim.run(&workload)?;
-        let stats = metrics.latency_stats_between(self.warmup_s, self.warmup_s + self.duration_s);
-        let dropped = metrics.dropped_between(self.warmup_s, self.warmup_s + self.duration_s);
-        let measured = stats.count() + dropped;
-        let drop_fraction = if measured == 0 {
-            0.0
-        } else {
-            counts_ratio(dropped, measured)
-        };
-        Ok(CurvePoint::new(
-            qps,
-            stats.median_ms().unwrap_or(0.0),
-            stats.tail_ms().unwrap_or(0.0),
-        )
-        .with_drop_fraction(drop_fraction))
-    }
-
-    /// [`SweepConfig::measure_point`] with the point's trace shard:
-    /// admissions, drops and completions land in `shard`, and the
-    /// engine's processed-event count is returned for load accounting.
-    fn measure_point_traced(
+    /// Measures one load point against a compiled simulation, recording
+    /// its microsim events into `recorder`; returns the point and the
+    /// engine's processed-event count for load accounting.
+    fn measure_point<R: Recorder>(
         &self,
         sim: &CompiledSim,
         index: usize,
-        shard: &mut TraceShard,
+        recorder: &mut R,
     ) -> Result<(CurvePoint, u64), SimError> {
         let qps = self.qps_points[index];
         let workload = Workload::steady(
@@ -315,28 +286,22 @@ impl SweepConfig {
             self.request_type.as_deref(),
             self.point_seed(index),
         );
-        let metrics = sim.run_with(&workload, shard)?;
-        let stats = metrics.latency_stats_between(self.warmup_s, self.warmup_s + self.duration_s);
-        let dropped = metrics.dropped_between(self.warmup_s, self.warmup_s + self.duration_s);
-        let measured = stats.count() + dropped;
-        let drop_fraction = if measured == 0 {
-            0.0
-        } else {
-            counts_ratio(dropped, measured)
-        };
+        let metrics = sim.run_with(&workload, recorder)?;
+        let (from_s, to_s) = (self.warmup_s, self.warmup_s + self.duration_s);
+        let stats = metrics.latency_stats_between(from_s, to_s);
         let point = CurvePoint::new(
             qps,
             stats.median_ms().unwrap_or(0.0),
             stats.tail_ms().unwrap_or(0.0),
         )
-        .with_drop_fraction(drop_fraction);
+        .with_drop_fraction(metrics.drop_fraction_between(from_s, to_s));
         Ok((point, metrics.events_processed()))
     }
 
     /// Runs the sweep against a simulation and collects its latency curve.
     ///
     /// Compiles the simulation once, then fans the load points out across
-    /// scoped worker threads (see [`SweepConfig::run_compiled`]).
+    /// worker threads (see [`SweepConfig::run_compiled`]).
     ///
     /// # Errors
     ///
@@ -351,14 +316,11 @@ impl SweepConfig {
 
     /// Runs the sweep against an already-compiled simulation.
     ///
-    /// Load points are dealt across `std::thread::scope` workers in
-    /// boustrophedon (snake) order — round 0 hands points to workers
-    /// `0, 1, ..., k-1`, round 1 reverses to `k-1, ..., 1, 0`, and so
-    /// on (see [`snake_worker`]) — so on an ascending sweep, where
-    /// per-point cost grows with offered load, no worker systematically
-    /// collects the heavy end. Every worker writes into its own
-    /// pre-assigned output slots, so the curve's point order and values
-    /// are identical to a serial sweep. Use this entry point to amortise one
+    /// Load points fan out through [`fanout::map_slots`], dealt in snake
+    /// order so that on an ascending sweep, where per-point cost grows
+    /// with offered load, no worker systematically collects the heavy
+    /// end. Results come back in point order, so the curve is identical
+    /// to a serial sweep. Use this entry point to amortise one
     /// [`Simulation::compile`] across many sweeps.
     ///
     /// # Errors
@@ -370,45 +332,8 @@ impl SweepConfig {
         label: impl Into<String>,
         sim: &CompiledSim,
     ) -> Result<LatencyCurve, SimError> {
-        let n = self.qps_points.len();
-        let workers = self
-            .parallelism
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZero::get))
-            .min(n)
-            .max(1);
-        let mut slots: Vec<Option<Result<CurvePoint, SimError>>> = (0..n).map(|_| None).collect();
-        if workers == 1 {
-            for (index, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(self.measure_point(sim, index));
-            }
-        } else {
-            // Deal the points in snake order rather than contiguous chunks
-            // or a plain stride: sweeps are usually ascending in offered
-            // load and per-point cost grows with load, so chunking piles
-            // the slow points onto the last worker — and a plain stride
-            // still hands worker k-1 the heaviest point of *every* round.
-            // Each point still lands in its own slot.
-            type PointSlot<'s> = (usize, &'s mut Option<Result<CurvePoint, SimError>>);
-            let mut assignments: Vec<Vec<PointSlot<'_>>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (index, slot) in slots.iter_mut().enumerate() {
-                assignments[snake_worker(index, workers)].push((index, slot));
-            }
-            thread::scope(|scope| {
-                for share in assignments {
-                    scope.spawn(move || {
-                        for (index, slot) in share {
-                            *slot = Some(self.measure_point(sim, index));
-                        }
-                    });
-                }
-            });
-        }
-        let mut points = Vec::with_capacity(n);
-        for slot in slots {
-            points.push(slot.ok_or(SimError::WorkerLost)??);
-        }
-        Ok(LatencyCurve::new(label, points))
+        let recorders = vec![NoopRecorder; self.qps_points.len()];
+        Ok(self.run_with(label, sim, recorders)?.0.curve)
     }
 
     /// The number of fan-out workers [`SweepConfig::run_compiled`] will
@@ -416,14 +341,11 @@ impl SweepConfig {
     /// available parallelism) capped by the point count.
     #[must_use]
     pub fn effective_workers(&self) -> usize {
-        self.parallelism
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZero::get))
-            .min(self.qps_points.len())
-            .max(1)
+        fanout::workers(self.parallelism, self.qps_points.len())
     }
 
     /// [`SweepConfig::run_compiled`] with tracing: each load point
-    /// records its microsim events into its own [`TraceShard`] (minted
+    /// records its microsim events into its own [`junkyard_obs::TraceShard`] (minted
     /// from and absorbed back into `recorder` in point order, so the
     /// merged trace is byte-identical at any worker count), and the
     /// per-point engine event counts are returned for worker-load
@@ -439,82 +361,44 @@ impl SweepConfig {
         sim: &CompiledSim,
         recorder: &mut TraceRecorder,
     ) -> Result<TracedSweep, SimError> {
-        let n = self.qps_points.len();
-        let workers = self.effective_workers();
-        let mut slots: Vec<Option<Result<(CurvePoint, u64), SimError>>> =
-            (0..n).map(|_| None).collect();
-        let mut shards: Vec<Option<TraceShard>> = (0..n)
-            .map(|index| Some(recorder.shard(index_u64(index))))
+        let shards = (0..self.qps_points.len())
+            .map(|index| recorder.shard(index_u64(index)))
             .collect();
-        if workers == 1 {
-            for (index, (slot, shard)) in slots.iter_mut().zip(shards.iter_mut()).enumerate() {
-                if let Some(sh) = shard.as_mut() {
-                    *slot = Some(self.measure_point_traced(sim, index, sh));
-                }
-            }
-        } else {
-            // The same snake-dealt fan-out as the untraced sweep; each
-            // slot's shard travels with it, so no worker ever touches
-            // another point's recorder state.
-            type TracedSlot<'s> = (
-                usize,
-                &'s mut Option<Result<(CurvePoint, u64), SimError>>,
-                &'s mut Option<TraceShard>,
-            );
-            let mut assignments: Vec<Vec<TracedSlot<'_>>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (index, (slot, shard)) in slots.iter_mut().zip(shards.iter_mut()).enumerate() {
-                assignments[snake_worker(index, workers)].push((index, slot, shard));
-            }
-            thread::scope(|scope| {
-                for share in assignments {
-                    scope.spawn(move || {
-                        for (index, slot, shard) in share {
-                            if let Some(sh) = shard.as_mut() {
-                                *slot = Some(self.measure_point_traced(sim, index, sh));
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        // Serial merge, in slot (point) order — worker-count invariant.
-        for shard in shards.into_iter().flatten() {
+        let (sweep, shards) = self.run_with(label, sim, shards)?;
+        for shard in shards {
             recorder.absorb(shard);
         }
-        let mut points = Vec::with_capacity(n);
-        let mut point_events = Vec::with_capacity(n);
-        for slot in slots {
-            let (point, events) = slot.ok_or(SimError::WorkerLost)??;
+        Ok(sweep)
+    }
+
+    /// Fans the load points out with one recorder per point (point
+    /// `index` records into `recorders[index]`) and hands the recorders
+    /// back in point order.
+    fn run_with<R: Recorder + Send>(
+        &self,
+        label: impl Into<String>,
+        sim: &CompiledSim,
+        recorders: Vec<R>,
+    ) -> Result<(TracedSweep, Vec<R>), SimError> {
+        let workers = self.effective_workers();
+        let measured = fanout::map_slots(workers, recorders, |index, mut recorder| {
+            (self.measure_point(sim, index, &mut recorder), recorder)
+        })?;
+        let mut points = Vec::with_capacity(measured.len());
+        let mut point_events = Vec::with_capacity(measured.len());
+        let mut recorders = Vec::with_capacity(measured.len());
+        for (result, recorder) in measured {
+            let (point, events) = result?;
             points.push(point);
             point_events.push(events);
+            recorders.push(recorder);
         }
-        Ok(TracedSweep {
+        let sweep = TracedSweep {
             curve: LatencyCurve::new(label, points),
             point_events,
             workers,
-        })
-    }
-}
-
-/// The worker that takes the point at `index` when `workers` threads
-/// deal an ascending sweep in boustrophedon (snake) order: even rounds
-/// run `0..workers`, odd rounds run back `workers..0`. With costs
-/// monotone in the point index, consecutive rounds cancel instead of
-/// compounding — on an 8-point linear-cost sweep over 2 workers the
-/// plain stride leaves the last worker 25% overloaded while the snake
-/// deal is exactly balanced.
-#[must_use]
-pub fn snake_worker(index: usize, workers: usize) -> usize {
-    if workers <= 1 {
-        return 0;
-    }
-    let round = index / workers;
-    let position = index % workers;
-    if round.is_multiple_of(2) {
-        position
-    } else {
-        workers - 1 - position
+        };
+        Ok((sweep, recorders))
     }
 }
 
@@ -534,7 +418,7 @@ pub struct TracedSweep {
 
 impl TracedSweep {
     /// Per-worker utilisation under the snake deal (see
-    /// [`snake_worker`]): each worker's share of total engine events,
+    /// [`fanout::snake_worker`]): each worker's share of total engine events,
     /// normalised so a perfectly balanced fan-out reads 1.0 for every
     /// worker.
     #[must_use]
@@ -545,7 +429,7 @@ impl TracedSweep {
         }
         let mut per_worker = vec![0u64; self.workers];
         for (index, &events) in self.point_events.iter().enumerate() {
-            per_worker[snake_worker(index, self.workers)] += events;
+            per_worker[fanout::snake_worker(index, self.workers)] += events;
         }
         let fair_share = counts_ratio(usize::try_from(total).unwrap_or(usize::MAX), 1)
             / counts_ratio(self.workers, 1);

@@ -5,7 +5,7 @@
 //! * **Deterministic sim-time tracing** ([`Recorder`], [`TraceRecorder`],
 //!   [`TraceShard`], [`ConservedLedger`]): events keyed by *simulated*
 //!   time, recorded through a zero-cost-when-disabled trait threaded into
-//!   the hot paths as hooks. Workers inside a `thread::scope` fan-out
+//!   the hot paths as hooks. Workers inside the [`fanout`] primitive
 //!   only ever touch their own [`TraceShard`] (one per result slot); the
 //!   serial driver absorbs shards back in slot order, so an enabled
 //!   trace is worker-count invariant — the same contract the results
@@ -29,6 +29,7 @@
 //! [`TraceRecorder::to_jsonl`] and the `trace_schema` regression test.
 
 pub mod event;
+pub mod fanout;
 pub mod ledger;
 pub mod profiler;
 pub mod recorder;

@@ -4,19 +4,18 @@
 //! Candidates are scored in *batches*. Each batch is composed serially
 //! against the [`EvalCache`] (so hit and miss counts are reproducible),
 //! deduplicated by fingerprint, and only the genuinely new
-//! `(candidate, fidelity)` pairs fan out across scoped worker threads —
-//! each writing into a pre-assigned slot, the same order-preserving
-//! pattern the sweep, fleet and lifecycle layers use. Because every
+//! `(candidate, fidelity)` pairs fan out through `junkyard_obs::fanout`,
+//! which returns them in batch order, like the sweep, fleet and
+//! lifecycle layers. Because every
 //! evaluation is a pure function of its inputs, the whole search is
 //! bit-identical at any worker count.
 
-use std::collections::HashMap;
-use std::thread;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use junkyard_microsim::sweep::decorrelate_seed;
-use junkyard_obs::{EventKind, NoopRecorder, Recorder, TraceEvent};
+use junkyard_obs::{fanout, EventKind, NoopRecorder, Recorder, TraceEvent};
 
 use crate::candidate::CandidateDeployment;
 use crate::evaluator::{EvalCache, EvalError, Evaluation, Evaluator, Fidelity};
@@ -145,12 +144,6 @@ impl SearchConfig {
     #[must_use]
     pub fn final_fidelity(&self) -> Fidelity {
         *self.rungs.last().expect("rungs are never empty")
-    }
-
-    fn workers(&self) -> usize {
-        self.parallelism
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZero::get))
-            .max(1)
     }
 }
 
@@ -308,7 +301,7 @@ pub fn evaluate_batch<E: Evaluator + ?Sized>(
     let mut pending: Vec<usize> = Vec::new();
     // Fingerprints are probed by key; batch order alone decides
     // result placement.
-    let mut pending_of: HashMap<u64, usize> = HashMap::new();
+    let mut pending_of: BTreeMap<u64, usize> = BTreeMap::new();
     let mut followers: Vec<(usize, usize)> = Vec::new();
     for (index, candidate) in batch.iter().enumerate() {
         if let Some(result) = cache.lookup(candidate, fidelity) {
@@ -324,7 +317,7 @@ pub fn evaluate_batch<E: Evaluator + ?Sized>(
         followers.push((index, position));
     }
 
-    // Parallel pass: strided order-preserving slots over the pending set.
+    // Parallel pass: the pending set, results in pending order.
     let results = run_pending(evaluator, batch, &pending, fidelity, workers);
     *fresh_evaluations += pending.len() as u64;
 
@@ -341,7 +334,9 @@ pub fn evaluate_batch<E: Evaluator + ?Sized>(
         .collect()
 }
 
-/// Evaluates the deduplicated pending set across scoped worker threads.
+/// Evaluates the deduplicated pending set through [`fanout::map_slots`].
+/// A lost worker marks the whole set as failed simulations, so the
+/// search treats them as infeasible instead of aborting.
 fn run_pending<E: Evaluator + ?Sized>(
     evaluator: &E,
     batch: &[CandidateDeployment],
@@ -349,36 +344,10 @@ fn run_pending<E: Evaluator + ?Sized>(
     fidelity: Fidelity,
     workers: usize,
 ) -> Vec<Result<Evaluation, EvalError>> {
-    let n = pending.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.min(n).max(1);
-    let mut slots: Vec<Option<Result<Evaluation, EvalError>>> = (0..n).map(|_| None).collect();
-    if workers == 1 {
-        for (slot, &batch_index) in slots.iter_mut().zip(pending) {
-            *slot = Some(evaluator.evaluate(&batch[batch_index], fidelity));
-        }
-    } else {
-        type PendingSlot<'s> = (usize, &'s mut Option<Result<Evaluation, EvalError>>);
-        let mut shares: Vec<Vec<PendingSlot<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (index, (slot, &batch_index)) in slots.iter_mut().zip(pending).enumerate() {
-            shares[index % workers].push((batch_index, slot));
-        }
-        thread::scope(|scope| {
-            for share in shares {
-                scope.spawn(move || {
-                    for (batch_index, slot) in share {
-                        *slot = Some(evaluator.evaluate(&batch[batch_index], fidelity));
-                    }
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every pending slot is filled by its worker"))
-        .collect()
+    fanout::map_slots(workers, pending.to_vec(), |_, batch_index| {
+        evaluator.evaluate(&batch[batch_index], fidelity)
+    })
+    .unwrap_or_else(|lost| vec![Err(EvalError::Sim(lost.to_string())); pending.len()])
 }
 
 /// Ranking key for successive halving: feasible candidates first by
@@ -442,7 +411,7 @@ pub fn search_with<E: Evaluator + ?Sized, R: Recorder>(
     cache: &mut EvalCache,
     recorder: &mut R,
 ) -> SearchOutcome {
-    let workers = config.workers();
+    let workers = fanout::workers(config.parallelism, usize::MAX);
     let mut fresh_evaluations = 0u64;
     // The cache may arrive pre-warmed (the doc above invites reuse);
     // report this search's own traffic, not the cache's lifetime totals.
@@ -581,9 +550,9 @@ pub fn search_with<E: Evaluator + ?Sized, R: Recorder>(
     // Everything scored at the final fidelity, first occurrence wins.
     let mut scored: Vec<(CandidateDeployment, Result<Evaluation, EvalError>)> = Vec::new();
     // Dedup by exact fingerprint; `scored` keeps first-occurrence order.
-    let mut seen: HashMap<u64, usize> = HashMap::new();
+    let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
     let absorb = |scored: &mut Vec<(CandidateDeployment, Result<Evaluation, EvalError>)>,
-                  seen: &mut HashMap<u64, usize>,
+                  seen: &mut BTreeMap<u64, usize>,
                   candidate: &CandidateDeployment,
                   result: &Result<Evaluation, EvalError>| {
         seen.entry(candidate.fingerprint()).or_insert_with(|| {
