@@ -7,7 +7,7 @@
 //!   per-device bandwidth.
 //! * [`peripherals`] — smart plugs, server fans and switches with their
 //!   embodied carbon and power.
-//! * [`cloudlet`] — [`CloudletDesign`](cloudlet::CloudletDesign): a set of
+//! * [`cloudlet`] — [`CloudletDesign`]: a set of
 //!   identical devices plus peripherals, with aggregate power, throughput,
 //!   embodied bills and battery schedules.
 //! * [`presets`] — the five Section 5.2 comparison cloudlets and the

@@ -75,7 +75,7 @@ pub struct PlannerStudy {
 
 impl PlannerStudy {
     /// The full-scale study: the lifecycle study's demand and grids, the
-    /// knee-headroom SLO (see [`study_slo`]), a three-rung fidelity ladder ending at four simulated
+    /// knee-headroom SLO (see `study_slo`), a three-rung fidelity ladder ending at four simulated
     /// weeks, and the rich search space (five cohort options, two
     /// charging floors, two refill lags, three fallback shares).
     #[must_use]

@@ -11,7 +11,7 @@
 //!   (Section 4.3).
 //! * [`components`] — per-component embodied carbon (Table 3) and reuse
 //!   roles.
-//! * [`device`] — the [`DeviceSpec`](device::DeviceSpec) aggregate and its
+//! * [`device`] — the [`DeviceSpec`] aggregate and its
 //!   builder.
 //! * [`catalog`] — ready-made specifications for every device in the paper
 //!   (PowerEdge R740, ProLiant DL380 G6, ThinkPad X1 Carbon G3, Pixel 3A,

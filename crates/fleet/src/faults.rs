@@ -36,6 +36,9 @@ use serde::{Deserialize, Serialize};
 
 use junkyard_carbon::convert::{count_f64, index_u64, unit_draw as convert_unit_draw};
 use junkyard_microsim::sweep::decorrelate_seed;
+use junkyard_obs::{EventKind, Recorder, TraceEvent};
+
+use crate::schedule::LoadWindow;
 
 /// Converts a 64-bit draw into a unit float in `[0, 1)`, the same way the
 /// sweep layer seeds its workloads.
@@ -623,14 +626,13 @@ impl Default for ResiliencePolicy {
 /// The resolved serving outcome of one routing window under faults: who
 /// served what, what was retried where, and what finally failed. All
 /// rates are window-mean requests/second.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowResolution {
     /// True availability per site, from the fault plan.
     pub avail: Vec<f64>,
     /// `first_served / assigned` per site — exactly 1.0 when the site
-    /// could take everything the router sent (the measured slice then
-    /// replays the unscaled load, keeping fault-free windows
-    /// bit-identical to the no-fault path).
+    /// could take everything the router sent, so scaling the measured
+    /// slice's load by it leaves the load's bits unchanged.
     pub delivered_ratio: Vec<f64>,
     /// Traffic landed on each site *beyond* its first-attempt share:
     /// successful retries, hedges, reroutes and brown-out serving.
@@ -653,6 +655,67 @@ pub struct WindowResolution {
     pub lp_shed_mean: f64,
     /// Finally failed: nothing on the ladder could place it.
     pub failed_mean: f64,
+}
+
+impl WindowResolution {
+    /// The outcome of a window nothing went wrong in: every site fully
+    /// available and delivering its whole first-attempt share, nothing
+    /// retried, hedged, degraded or failed. It is exactly what
+    /// [`resolve_window`] returns for such a window, and reading it in
+    /// place of no resolution changes no result bit: its `1.0` factors
+    /// and `0.0` terms are exact in IEEE-754 (`x * 1.0`, `x + 0.0` and
+    /// `x - 0.0` all return `x`).
+    #[must_use]
+    pub fn healthy(sites: usize) -> Self {
+        Self {
+            avail: vec![1.0; sites],
+            delivered_ratio: vec![1.0; sites],
+            extra_served_mean: vec![0.0; sites],
+            retry_attempt_mean: vec![0.0; sites],
+            ..Self::default()
+        }
+    }
+
+    /// Records this outcome for `window` into `recorder`: one `fault`
+    /// event per site (`site_names` in site order) below full
+    /// availability, then one event per recovery path that carried
+    /// traffic — retry, hedge, reroute, and degradation (brown-out plus
+    /// low-priority shed). A healthy window records nothing.
+    pub(crate) fn record_transitions<'a, R: Recorder>(
+        &self,
+        recorder: &mut R,
+        window: &LoadWindow,
+        site_names: impl Iterator<Item = &'a str>,
+    ) {
+        let t = window.start().seconds();
+        let w = window.index();
+        for (name, &avail) in site_names.zip(&self.avail) {
+            if avail < 1.0 {
+                let event = TraceEvent::new(EventKind::Fault, t, name, avail);
+                recorder.event(event.with_detail(&format!("w{w}")));
+            }
+        }
+        let degraded = self.brownout_mean + self.lp_shed_mean;
+        let recoveries = [
+            (EventKind::Retry, "retried-ok", self.retried_ok_mean),
+            (EventKind::Hedge, "hedged", self.hedged_mean),
+            (EventKind::Route, "rerouted", self.rerouted_mean),
+            (EventKind::Degrade, "degraded", degraded),
+        ];
+        for (kind, key, value) in recoveries {
+            if value > 0.0 {
+                let detail = match kind {
+                    EventKind::Route => format!("w{w} reroute"),
+                    EventKind::Degrade => format!(
+                        "w{w} brownout={} lp-shed={}",
+                        self.brownout_mean, self.lp_shed_mean
+                    ),
+                    _ => format!("w{w}"),
+                };
+                recorder.event(TraceEvent::new(kind, t, key, value).with_detail(&detail));
+            }
+        }
+    }
 }
 
 /// Resolves one window's serving outcome: first attempts against true
@@ -900,6 +963,50 @@ mod tests {
         assert_eq!(res.delivered_ratio, vec![1.0, 1.0]);
         assert_eq!(res.failed_mean, 0.0);
         assert_eq!(res.retry_attempt_mean, vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn healthy_resolution_is_bit_identical_to_resolving_a_healthy_window() {
+        // The lifecycle reads `WindowResolution::healthy` for every window
+        // of a fault-free run instead of resolving it: that is only sound
+        // if resolving a fully available, within-capacity window yields
+        // the same bits, whatever the policy.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let assigned = [120.0, 0.0, 300.0];
+        let capacity = [150.0, 80.0, 300.0];
+        let avail = [1.0; 3];
+        let full = ResiliencePolicy::new()
+            .detection_lag_windows(2)
+            .retry(RetryPolicy::new(3).hedge_to_fallback())
+            .degradation(
+                DegradationLadder::new()
+                    .shed_low_priority(0.5)
+                    .brownout(1.3),
+            )
+            .fallback_site(1);
+        let healthy = WindowResolution::healthy(3);
+        for policy in [None, Some(&full)] {
+            let r = resolve_window(&assigned, &capacity, &capacity, &avail, policy);
+            assert_eq!(bits(&r.avail), bits(&healthy.avail));
+            assert_eq!(bits(&r.delivered_ratio), bits(&healthy.delivered_ratio));
+            assert_eq!(bits(&r.extra_served_mean), bits(&healthy.extra_served_mean));
+            assert_eq!(
+                bits(&r.retry_attempt_mean),
+                bits(&healthy.retry_attempt_mean)
+            );
+            let scalars = |r: &WindowResolution| {
+                bits(&[
+                    r.failed_first_mean,
+                    r.retried_ok_mean,
+                    r.hedged_mean,
+                    r.rerouted_mean,
+                    r.brownout_mean,
+                    r.lp_shed_mean,
+                    r.failed_mean,
+                ])
+            };
+            assert_eq!(scalars(&r), scalars(&healthy), "policy {policy:?}");
+        }
     }
 
     #[test]

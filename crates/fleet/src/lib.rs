@@ -14,20 +14,20 @@
 //! * [`routing`] — per-window traffic assignment: the paper's static
 //!   placement as baseline, and a carbon-aware policy that shifts load
 //!   towards the region that is cleanest *right now*.
-//! * [`sim`] — [`FleetSim`](sim::FleetSim): drives every
+//! * [`sim`] — [`FleetSim`]: drives every
 //!   (window, site) cell through the compiled engine, integrates
 //!   operational carbon from measured utilisation and amortised embodied
 //!   carbon per window, and reports fleet-wide gCO2e per request. Cells
 //!   fan out through `junkyard_obs::fanout` and come back in cell order,
 //!   so results are identical serial or threaded.
 //! * [`faults`] — correlated fault injection and the failure-aware
-//!   serving path: deterministic [`FaultPlan`](faults::FaultPlan)s of
+//!   serving path: deterministic [`FaultPlan`]s of
 //!   grid outages, firmware-batch failures and thermal shutdowns; a
 //!   stale health view with detection lag; bounded
-//!   [`RetryPolicy`](faults::RetryPolicy) retries and hedging, every
+//!   [`RetryPolicy`] retries and hedging, every
 //!   attempt charged its carbon; and a degradation ladder
 //!   (reroute → shed low-priority → brown-out) when retries exhaust.
-//! * [`lifecycle`] — [`LifecycleSim`](lifecycle::LifecycleSim): the
+//! * [`lifecycle`] — [`LifecycleSim`]: the
 //!   multi-year coupling of all of the above. Device cohorts wear their
 //!   batteries day by day under the simulated smart-charging schedule,
 //!   fail stochastically and are refilled from junkyard stock; routing
@@ -79,6 +79,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod faults;
 pub mod lifecycle;
 pub mod routing;
@@ -88,16 +89,17 @@ pub mod site;
 #[cfg(test)]
 pub(crate) mod testutil;
 
+pub use config::{FleetConfig, Horizon, LifecycleConfig, RunConfig};
 pub use faults::{
     DegradationLadder, FaultConfig, FaultEvent, FaultKind, FaultPlan, ResiliencePolicy, RetryPolicy,
 };
 pub use lifecycle::{
-    CohortDevice, LifecycleCell, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite,
-    SiteConfigError, WindowHealth,
+    CohortDevice, LifecycleCell, LifecycleResult, LifecycleSim, LifecycleSite, SiteConfigError,
+    WindowHealth,
 };
 pub use routing::{RoutingPolicy, SiteWindowInput, WindowAssignment};
 pub use schedule::{DiurnalSchedule, LoadWindow};
-pub use sim::{FleetCell, FleetConfig, FleetResult, FleetSim};
+pub use sim::{FleetCell, FleetResult, FleetSim};
 pub use site::{second_life_embodied, smart_charging_scale, FleetSite, GridRegion};
 
 use junkyard_carbon::convert::{count_f64, floor_index};

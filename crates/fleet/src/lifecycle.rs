@@ -49,7 +49,10 @@ use junkyard_microsim::sim::{SimError, Simulation};
 use junkyard_microsim::sweep::decorrelate_seed;
 use junkyard_obs::{fanout, ConservedLedger, EventKind, NoopRecorder, Recorder, TraceEvent};
 
-use crate::faults::{resolve_window, FaultConfig, FaultPlan, ResiliencePolicy, WindowResolution};
+pub use crate::config::LifecycleConfig;
+use crate::faults::{
+    resolve_window, FaultConfig, FaultPlan, ResiliencePolicy, RetryPolicy, WindowResolution,
+};
 use crate::routing::{plan_window_inputs, RoutingPolicy, SiteWindowInput, WindowAssignment};
 use crate::schedule::{DiurnalSchedule, LoadWindow};
 use crate::site::GridRegion;
@@ -216,37 +219,13 @@ impl LifecycleSite {
     /// smart-charging policy and failures are disabled until
     /// [`LifecycleSite::failures`] turns them on.
     ///
-    /// # Panics
-    ///
-    /// Panics if the cohort is empty or the region's trace does not cover
-    /// a whole number of days (at least one): periodic day tiling and the
-    /// sample-level wrap-around of window means must agree over a
-    /// multi-year horizon.
-    #[must_use]
-    pub fn cohort(
-        name: impl Into<String>,
-        sim: &Simulation,
-        region: GridRegion,
-        devices: Vec<CohortDevice>,
-        install_embodied: GramsCo2e,
-    ) -> Self {
-        match Self::try_cohort(name, sim, region, devices, install_embodied) {
-            Ok(site) => site,
-            // lint:allow(panic-in-library): the documented panicking
-            // facade over `try_cohort`, kept for tests and examples.
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`LifecycleSite::cohort`]: returns a typed
-    /// [`SiteConfigError`] instead of panicking, for user-reachable
-    /// configuration paths (study configs, the planner's search space).
-    ///
     /// # Errors
     ///
-    /// Returns an error if the cohort is empty, the region's trace does
-    /// not cover a whole number of days (at least one), or the trace
-    /// contains a non-finite intensity sample.
+    /// Returns a [`SiteConfigError`] if the cohort is empty, the region's
+    /// trace does not cover a whole number of days (at least one: periodic
+    /// day tiling and the sample-level wrap-around of window means must
+    /// agree over a multi-year horizon), or the trace contains a
+    /// non-finite intensity sample.
     pub fn try_cohort(
         name: impl Into<String>,
         sim: &Simulation,
@@ -281,33 +260,12 @@ impl LifecycleSite {
     /// `capacity_qps`, no power draw and no embodied carbon until the
     /// builders set them.
     ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is not strictly positive or the region's
-    /// trace does not cover a whole number of days.
-    #[must_use]
-    pub fn leased(
-        name: impl Into<String>,
-        sim: &Simulation,
-        region: GridRegion,
-        capacity_qps: f64,
-    ) -> Self {
-        match Self::try_leased(name, sim, region, capacity_qps) {
-            Ok(site) => site,
-            // lint:allow(panic-in-library): the documented panicking
-            // facade over `try_leased`, kept for tests and examples.
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`LifecycleSite::leased`]: returns a typed
-    /// [`SiteConfigError`] instead of panicking.
-    ///
     /// # Errors
     ///
-    /// Returns an error if the capacity is not strictly positive and
-    /// finite, the region's trace does not cover a whole number of days,
-    /// or the trace contains a non-finite intensity sample.
+    /// Returns a [`SiteConfigError`] if the capacity is not strictly
+    /// positive and finite, the region's trace does not cover a whole
+    /// number of days, or the trace contains a non-finite intensity
+    /// sample.
     pub fn try_leased(
         name: impl Into<String>,
         sim: &Simulation,
@@ -514,136 +472,6 @@ impl LifecycleSite {
     }
 }
 
-/// Tunables of a lifecycle run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LifecycleConfig {
-    years: usize,
-    horizon_days: Option<usize>,
-    windows_per_day: usize,
-    sim_slice_s: f64,
-    warmup_s: f64,
-    seed: u64,
-    parallelism: Option<usize>,
-}
-
-impl LifecycleConfig {
-    /// Defaults for `years` simulated years: six 4-hour routing windows
-    /// per day, a 1-second measured slice after a 1-second warm-up, seed
-    /// 42, machine parallelism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `years` is zero.
-    #[must_use]
-    pub fn new(years: usize) -> Self {
-        assert!(years > 0, "the lifecycle needs at least one year");
-        Self {
-            years,
-            horizon_days: None,
-            windows_per_day: 6,
-            sim_slice_s: 1.0,
-            warmup_s: 1.0,
-            seed: 42,
-            parallelism: None,
-        }
-    }
-
-    /// Overrides the horizon with an exact number of days instead of whole
-    /// years — the planner's coarse-fidelity knob: a candidate deployment
-    /// can be screened on a few simulated days before the survivors earn a
-    /// multi-year run. Accounting cells still cover at most one year each;
-    /// the last cell is simply shorter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `days` is zero.
-    #[must_use]
-    pub fn horizon_days(mut self, days: usize) -> Self {
-        assert!(days > 0, "the lifecycle needs at least one day");
-        self.horizon_days = Some(days);
-        self
-    }
-
-    /// Sets the number of routing/accounting windows per day.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    #[must_use]
-    pub fn windows_per_day(mut self, windows_per_day: usize) -> Self {
-        assert!(windows_per_day > 0, "need at least one window per day");
-        self.windows_per_day = windows_per_day;
-        self
-    }
-
-    /// Sets the measured length of each microsim slice (whole seconds —
-    /// the engine buckets utilisation per second).
-    ///
-    /// # Panics
-    ///
-    /// Panics if not a strictly positive whole number of seconds.
-    #[must_use]
-    pub fn sim_slice_s(mut self, seconds: f64) -> Self {
-        assert!(seconds > 0.0, "slice duration must be positive");
-        assert!(
-            seconds.fract() == 0.0,
-            "slice duration must be a whole number of seconds (1-second utilisation buckets)"
-        );
-        self.sim_slice_s = seconds;
-        self
-    }
-
-    /// Sets the warm-up excluded from each slice's measurements (whole
-    /// seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if negative or not a whole number of seconds.
-    #[must_use]
-    pub fn warmup_s(mut self, seconds: f64) -> Self {
-        assert!(seconds >= 0.0, "warm-up cannot be negative");
-        assert!(
-            seconds.fract() == 0.0,
-            "warm-up must be a whole number of seconds (1-second utilisation buckets)"
-        );
-        self.warmup_s = seconds;
-        self
-    }
-
-    /// Sets the root seed; failure draws and workload seeds are mixed
-    /// from it with [`decorrelate_seed`].
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Caps the number of worker threads; `1` forces a serial run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    #[must_use]
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "a lifecycle run needs at least one worker");
-        self.parallelism = Some(workers);
-        self
-    }
-
-    /// Simulated years.
-    #[must_use]
-    pub fn years(&self) -> usize {
-        self.years
-    }
-
-    /// Simulated days of the horizon: the explicit day override when set,
-    /// otherwise `years * 365`.
-    #[must_use]
-    pub fn total_days(&self) -> usize {
-        self.horizon_days.unwrap_or(self.years * DAYS_PER_YEAR)
-    }
-}
-
 /// The per-day state of one site, produced by the serial dynamics pass:
 /// who is alive, what the site can serve, what its power model looks like
 /// and what embodied carbon the day's events charged.
@@ -714,7 +542,7 @@ impl DayDynamics {
 /// The per-day ledger merged across a fleet: what the day served and
 /// emitted, for cumulative (lifetime-amortised) trajectories at day
 /// granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DayLedger {
     requests: f64,
     operational: GramsCo2e,
@@ -757,7 +585,7 @@ impl DayLedger {
 }
 
 /// One (year, site) cell of the lifecycle accounting grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LifecycleCell {
     year: usize,
     site: usize,
@@ -1330,8 +1158,8 @@ pub struct LifecycleSim {
     schedule: DiurnalSchedule,
     policy: RoutingPolicy,
     config: LifecycleConfig,
-    faults: Option<FaultConfig>,
-    resilience: Option<ResiliencePolicy>,
+    faults: FaultConfig,
+    resilience: ResiliencePolicy,
 }
 
 impl LifecycleSim {
@@ -1354,8 +1182,8 @@ impl LifecycleSim {
             schedule,
             policy,
             config,
-            faults: None,
-            resilience: None,
+            faults: FaultConfig::disabled(),
+            resilience: ResiliencePolicy::new(),
         }
     }
 
@@ -1367,7 +1195,7 @@ impl LifecycleSim {
     /// bit-identical results.
     #[must_use]
     pub fn with_faults(mut self, config: FaultConfig) -> Self {
-        self.faults = Some(config);
+        self.faults = config;
         self
     }
 
@@ -1388,7 +1216,7 @@ impl LifecycleSim {
                 self.sites.len()
             );
         }
-        self.resilience = Some(policy);
+        self.resilience = policy;
         self
     }
 
@@ -1569,10 +1397,11 @@ impl LifecycleSim {
 
     /// Runs the lifecycle and returns the accounting grid.
     ///
-    /// The serial passes (per-site daily dynamics, per-window routing
-    /// plans) run first; the (year, site) measurement cells then fan out
-    /// across scoped worker threads into pre-assigned slots, so the
-    /// result is bit-identical at any worker count.
+    /// The serial stages (per-site daily dynamics, the fault plan,
+    /// per-window routing plans and resolutions) run first; the
+    /// (year, site) measurement cells then fan out across scoped worker
+    /// threads into pre-assigned slots, so the result is bit-identical at
+    /// any worker count.
     ///
     /// # Errors
     ///
@@ -1599,62 +1428,101 @@ impl LifecycleSim {
     /// is not an error here — it is recorded as a `ledger` event with
     /// `"violation"` as its key, so the trace stays a faithful witness.
     pub fn run_with<R: Recorder>(&self, recorder: &mut R) -> Result<LifecycleResult, SimError> {
+        let plan = self.plan_windows(recorder);
+        let sites = self.sites.len();
+        let n = plan.years() * sites;
+        let cell_inputs: Vec<(usize, usize)> = (0..n).map(|i| (i / sites, i % sites)).collect();
+        let cells = fanout::map_slots(
+            fanout::workers(self.config.parallelism, n),
+            cell_inputs,
+            |_, (year, site)| self.measure_cell(&plan, year, site),
+        )?
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.fold(&plan, cells, recorder))
+    }
+
+    /// Site names, in site order.
+    fn site_names(&self) -> impl Iterator<Item = &str> {
+        self.sites.iter().map(LifecycleSite::name)
+    }
+
+    /// The serial stages, in order: per-site daily dynamics, the
+    /// correlated fault plan, the per-window routing plans (traced as
+    /// `route` events) and the per-window resolutions (traced as fault
+    /// and recovery events).
+    fn plan_windows<R: Recorder>(&self, recorder: &mut R) -> WindowPlan {
         let days = self.config.total_days();
-        let years_spanned = days.div_ceil(DAYS_PER_YEAR);
         let wpd = self.config.windows_per_day;
         let sites = self.sites.len();
-        let schedule = self.schedule.clone().days(days);
-        let windows = schedule.windows(wpd);
-
-        // Serial pass 1: per-site daily dynamics.
+        let windows = self.schedule.clone().days(days).windows(wpd);
         let dynamics: Vec<Vec<DayDynamics>> = (0..sites)
             .map(|s| self.simulate_dynamics(s, days))
             .collect();
-
-        // The correlated fault schedule and its serving consequences.
-        // With a disabled/absent fault config and no standby fallback,
-        // `resolutions` stays `None` and every downstream expression
-        // reduces to the plain path — fault-free runs are bit-identical
-        // to runs that never constructed the fault layer at all.
-        let fault_plan = match &self.faults {
-            Some(config) => FaultPlan::generate(
-                config,
-                windows.len(),
-                sites,
-                wpd,
-                decorrelate_seed(self.config.seed, 1 << 32),
-            ),
-            None => FaultPlan::none(windows.len(), sites),
+        let fault_seed = decorrelate_seed(self.config.seed, 1 << 32);
+        let faults = FaultPlan::generate(&self.faults, windows.len(), sites, wpd, fault_seed);
+        let (routes, intensities) = self.route_windows(&windows, &dynamics, &faults, recorder);
+        let resolutions = self.resolve_windows(&dynamics, &faults, &routes);
+        let plan = WindowPlan {
+            days,
+            windows,
+            dynamics,
+            routes,
+            intensities,
+            resolutions,
+            healthy: WindowResolution::healthy(sites),
+            retry_grams: self
+                .resilience
+                .retry_policy()
+                .map_or(0.0, RetryPolicy::attempt_grams),
         };
-        let fallback = self
-            .resilience
-            .as_ref()
-            .and_then(ResiliencePolicy::fallback);
-        let active = !fault_plan.is_fault_free() || fallback.is_some();
-        let lag = self
-            .resilience
-            .as_ref()
-            .map_or(0, ResiliencePolicy::lag_windows);
-        // The router's (possibly stale) health view: window `w` is
-        // planned from the availability that was true `lag` windows ago;
-        // before anything could be observed, everything looks healthy.
-        let observed_avail = |w: usize, s: usize| {
-            if w >= lag {
-                fault_plan.availability(w - lag, s)
-            } else {
-                1.0
+        if recorder.enabled() {
+            for window in &plan.windows {
+                plan.resolution(window.index()).record_transitions(
+                    recorder,
+                    window,
+                    self.site_names(),
+                );
             }
-        };
+        }
+        plan
+    }
 
-        // Serial pass 2: per-window routing plans against the capacity
-        // the router *believes* is alive that day (true capacity times
-        // the lagged availability; a standby fallback site is planned at
-        // zero so it takes no primary traffic), plus the window-mean
-        // intensities the cells will charge energy at.
-        let mut intensities: Vec<Vec<CarbonIntensity>> = Vec::with_capacity(windows.len());
-        let mut plans: Vec<WindowAssignment> = Vec::with_capacity(windows.len());
-        for window in &windows {
-            let day = window.index() / wpd;
+    /// The capacity the router believes site `s` has in window `w`: the
+    /// day's capacity times the availability that was true `lag` windows
+    /// earlier (before anything could be observed, everything looks
+    /// healthy).
+    fn observed_capacity(
+        &self,
+        dynamics: &[Vec<DayDynamics>],
+        faults: &FaultPlan,
+        w: usize,
+        s: usize,
+    ) -> f64 {
+        let lag = self.resilience.lag_windows();
+        let avail = if w >= lag {
+            faults.availability(w - lag, s)
+        } else {
+            1.0
+        };
+        dynamics[s][w / self.config.windows_per_day].capacity_qps * avail
+    }
+
+    /// Per-window routing plans against the capacity the router
+    /// *believes* is alive (a standby fallback site is planned at zero so
+    /// it takes no primary traffic), plus the window-mean intensities the
+    /// cells charge energy at.
+    fn route_windows<R: Recorder>(
+        &self,
+        windows: &[LoadWindow],
+        dynamics: &[Vec<DayDynamics>],
+        faults: &FaultPlan,
+        recorder: &mut R,
+    ) -> (Vec<WindowAssignment>, Vec<Vec<CarbonIntensity>>) {
+        let fallback = self.resilience.fallback();
+        let mut routes = Vec::with_capacity(windows.len());
+        let mut intensities = Vec::with_capacity(windows.len());
+        for window in windows {
             let w = window.index();
             let window_intensities: Vec<CarbonIntensity> = self
                 .sites
@@ -1664,267 +1532,65 @@ impl LifecycleSim {
                         .mean_intensity_between(window.start(), window.end())
                 })
                 .collect();
-            let inputs: Vec<SiteWindowInput> = (0..sites)
+            let inputs: Vec<SiteWindowInput> = (0..self.sites.len())
                 .map(|s| SiteWindowInput {
-                    capacity_qps: if !active {
-                        dynamics[s][day].capacity_qps
-                    } else if Some(s) == fallback {
+                    capacity_qps: if Some(s) == fallback {
                         0.0
                     } else {
-                        dynamics[s][day].capacity_qps * observed_avail(w, s)
+                        self.observed_capacity(dynamics, faults, w, s)
                     },
                     intensity: window_intensities[s],
                 })
                 .collect();
-            plans.push(plan_window_inputs(self.policy, &inputs, window));
-            intensities.push(window_intensities);
+            let route = plan_window_inputs(self.policy, &inputs, window);
             if recorder.enabled() {
-                let names = self.sites.iter().map(LifecycleSite::name);
-                plans[w].record_routes(recorder, window, names);
+                route.record_routes(recorder, window, self.site_names());
             }
+            routes.push(route);
+            intensities.push(window_intensities);
         }
+        (routes, intensities)
+    }
 
-        // Serial pass 3 (faulty runs only): resolve each window's serving
-        // outcome — first attempts against *true* capacity, then the
-        // retry rounds aimed by the stale view, the hedge, and the
-        // degradation ladder.
-        let resolutions: Option<Vec<WindowResolution>> = if active {
-            let policy = self.resilience.as_ref();
-            Some(
-                windows
-                    .iter()
-                    .map(|window| {
-                        let w = window.index();
-                        let day = w / wpd;
-                        let assigned: Vec<f64> =
-                            (0..sites).map(|s| plans[w].site_mean_qps(s)).collect();
-                        let true_cap: Vec<f64> = (0..sites)
-                            .map(|s| dynamics[s][day].capacity_qps * fault_plan.availability(w, s))
-                            .collect();
-                        let observed_cap: Vec<f64> = (0..sites)
-                            .map(|s| dynamics[s][day].capacity_qps * observed_avail(w, s))
-                            .collect();
-                        let avail: Vec<f64> =
-                            (0..sites).map(|s| fault_plan.availability(w, s)).collect();
-                        resolve_window(&assigned, &true_cap, &observed_cap, &avail, policy)
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let resolutions = resolutions.as_deref();
-        if recorder.enabled() {
-            if let Some(res) = resolutions {
-                for window in &windows {
-                    let w = window.index();
-                    let t = window.start().seconds();
-                    for (s, site) in self.sites.iter().enumerate() {
-                        let avail = fault_plan.availability(w, s);
-                        if avail < 1.0 {
-                            recorder.event(
-                                TraceEvent::new(EventKind::Fault, t, site.name(), avail)
-                                    .with_detail(&format!("w{w}")),
-                            );
-                        }
-                    }
-                    let r = &res[w];
-                    if r.retried_ok_mean > 0.0 {
-                        recorder.event(
-                            TraceEvent::new(EventKind::Retry, t, "retried-ok", r.retried_ok_mean)
-                                .with_detail(&format!("w{w}")),
-                        );
-                    }
-                    if r.hedged_mean > 0.0 {
-                        recorder.event(
-                            TraceEvent::new(EventKind::Hedge, t, "hedged", r.hedged_mean)
-                                .with_detail(&format!("w{w}")),
-                        );
-                    }
-                    if r.rerouted_mean > 0.0 {
-                        recorder.event(
-                            TraceEvent::new(EventKind::Route, t, "rerouted", r.rerouted_mean)
-                                .with_detail(&format!("w{w} reroute")),
-                        );
-                    }
-                    let degraded = r.brownout_mean + r.lp_shed_mean;
-                    if degraded > 0.0 {
-                        recorder.event(
-                            TraceEvent::new(EventKind::Degrade, t, "degraded", degraded)
-                                .with_detail(&format!(
-                                    "w{w} brownout={} lp-shed={}",
-                                    r.brownout_mean, r.lp_shed_mean
-                                )),
-                        );
-                    }
-                }
-            }
+    /// Each window's serving outcome when faults or a standby fallback
+    /// can change it: first attempts against *true* capacity, then the
+    /// retry rounds aimed by the stale view, the hedge, and the
+    /// degradation ladder. A run with neither resolves nothing — every
+    /// window reads the shared [`WindowResolution::healthy`].
+    fn resolve_windows(
+        &self,
+        dynamics: &[Vec<DayDynamics>],
+        faults: &FaultPlan,
+        routes: &[WindowAssignment],
+    ) -> Vec<WindowResolution> {
+        if faults.is_fault_free() && self.resilience.fallback().is_none() {
+            return Vec::new();
         }
-        let retry_grams = self
-            .resilience
-            .as_ref()
-            .and_then(ResiliencePolicy::retry_policy)
-            .map_or(0.0, crate::faults::RetryPolicy::attempt_grams);
-
-        // Parallel pass: (year, site) cells, returned in cell order.
-        let n = years_spanned * sites;
-        let cell_inputs: Vec<(usize, usize)> = (0..n).map(|i| (i / sites, i % sites)).collect();
-        let cells = fanout::map_slots(
-            fanout::workers(self.config.parallelism, n),
-            cell_inputs,
-            |_, (year, site)| {
-                self.measure_cell(
-                    year,
-                    site,
-                    days,
-                    &windows,
-                    &plans,
-                    &intensities,
-                    &dynamics,
-                    resolutions,
-                    retry_grams,
+        let sites = 0..self.sites.len();
+        routes
+            .iter()
+            .enumerate()
+            .map(|(w, route)| {
+                let day = w / self.config.windows_per_day;
+                let assigned: Vec<f64> = sites.clone().map(|s| route.site_mean_qps(s)).collect();
+                let avail: Vec<f64> = sites.clone().map(|s| faults.availability(w, s)).collect();
+                let true_cap: Vec<f64> = sites
+                    .clone()
+                    .map(|s| dynamics[s][day].capacity_qps * avail[s])
+                    .collect();
+                let observed_cap: Vec<f64> = sites
+                    .clone()
+                    .map(|s| self.observed_capacity(dynamics, faults, w, s))
+                    .collect();
+                resolve_window(
+                    &assigned,
+                    &true_cap,
+                    &observed_cap,
+                    &avail,
+                    Some(&self.resilience),
                 )
-            },
-        )?
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-
-        let mut day_ledger = vec![
-            DayLedger {
-                requests: 0.0,
-                operational: GramsCo2e::ZERO,
-                embodied: GramsCo2e::ZERO,
-                retry: GramsCo2e::ZERO,
-            };
-            days
-        ];
-        let mut total_requests = 0.0;
-        let mut dropped_requests = 0.0;
-        let mut total_operational = GramsCo2e::ZERO;
-        let mut total_embodied = GramsCo2e::ZERO;
-        let mut total_retry_carbon = GramsCo2e::ZERO;
-        for cell in &cells {
-            total_requests += cell.requests;
-            dropped_requests += cell.dropped_requests;
-            total_operational += cell.operational;
-            total_embodied += cell.embodied;
-            total_retry_carbon += cell.retry_carbon;
-            for (offset, ledger) in cell.daily.iter().enumerate() {
-                let merged = &mut day_ledger[cell.year * DAYS_PER_YEAR + offset];
-                merged.requests += ledger.requests;
-                merged.operational += ledger.operational;
-                merged.embodied += ledger.embodied;
-                merged.retry += ledger.retry;
-            }
-        }
-        let window_s = windows[0].duration().seconds();
-        let declined_requests = plans.iter().map(|p| p.declined_mean_qps() * window_s).sum();
-
-        // Availability accounting: the resolved fault outcomes rolled up
-        // into horizon totals and the per-window health series (synthesised
-        // all-healthy on a fault-free run).
-        let mut failed_requests = 0.0;
-        let mut retried_ok_requests = 0.0;
-        let mut hedged_requests = 0.0;
-        let mut rerouted_requests = 0.0;
-        let mut brownout_requests = 0.0;
-        let mut low_priority_shed_requests = 0.0;
-        let mut window_health = Vec::with_capacity(windows.len());
-        for window in &windows {
-            let w = window.index();
-            let offered: f64 =
-                (0..sites).map(|s| plans[w].site_mean_qps(s)).sum::<f64>() * window_s;
-            if let Some(res) = resolutions {
-                let r = &res[w];
-                let failed = r.failed_mean * window_s;
-                let lp_shed = r.lp_shed_mean * window_s;
-                failed_requests += failed;
-                retried_ok_requests += r.retried_ok_mean * window_s;
-                hedged_requests += r.hedged_mean * window_s;
-                rerouted_requests += r.rerouted_mean * window_s;
-                brownout_requests += r.brownout_mean * window_s;
-                low_priority_shed_requests += lp_shed;
-                window_health.push(WindowHealth {
-                    offered,
-                    served: offered - failed - lp_shed,
-                    failed,
-                });
-            } else {
-                window_health.push(WindowHealth {
-                    offered,
-                    served: offered,
-                    failed: 0.0,
-                });
-            }
-        }
-
-        // The live conservation ledger: every window's request identity
-        // and every day's carbon identity re-checked at record time. A
-        // violation becomes a `ledger` event keyed `"violation"` — the
-        // trace witnesses the leak instead of silently absorbing it.
-        if recorder.enabled() {
-            let mut ledger = ConservedLedger::new();
-            for window in &windows {
-                let w = window.index();
-                let health = &window_health[w];
-                let declined = plans[w].declined_mean_qps() * window_s;
-                let shed = health.offered - health.served - health.failed;
-                if let Err(err) = ledger.record_requests(
-                    health.offered + declined,
-                    health.served,
-                    declined,
-                    0.0,
-                    shed,
-                    health.failed,
-                ) {
-                    recorder.event(
-                        TraceEvent::new(
-                            EventKind::Ledger,
-                            window.start().seconds(),
-                            "violation",
-                            health.offered,
-                        )
-                        .with_detail(&err.to_string()),
-                    );
-                }
-            }
-            for (day, entry) in day_ledger.iter().enumerate() {
-                let operational = entry.operational.grams();
-                let embodied = entry.embodied.grams();
-                let retry = entry.retry.grams();
-                let total = operational + embodied + retry;
-                let t = count_f64(day) * 24.0 * 3600.0;
-                if let Err(err) = ledger.record_carbon(total, operational, embodied, retry) {
-                    recorder.event(
-                        TraceEvent::new(EventKind::Ledger, t, "violation", total)
-                            .with_detail(&err.to_string()),
-                    );
-                }
-            }
-            recorder.event(ledger.snapshot(count_f64(windows.len()) * window_s));
-        }
-
-        Ok(LifecycleResult {
-            policy: self.policy,
-            site_names: self.sites.iter().map(|s| s.name().to_owned()).collect(),
-            years: years_spanned,
-            cells,
-            day_ledger,
-            declined_requests,
-            dropped_requests,
-            total_requests,
-            total_operational,
-            total_embodied,
-            failed_requests,
-            retried_ok_requests,
-            hedged_requests,
-            rerouted_requests,
-            brownout_requests,
-            low_priority_shed_requests,
-            total_retry_carbon,
-            window_health,
-            horizon_seconds: count_f64(windows.len()) * window_s,
-        })
+            })
+            .collect()
     }
 
     /// Aggregates one (year, site) cell: every window of the year at this
@@ -1932,18 +1598,11 @@ impl LifecycleSim {
     /// pair — the schedule repeats daily and capacity is
     /// piecewise-constant between failure events, so only a handful of
     /// distinct slices are actually simulated.
-    #[allow(clippy::too_many_arguments)] // the cell's full serial context, passed by reference
     fn measure_cell(
         &self,
+        plan: &WindowPlan,
         year: usize,
         site_idx: usize,
-        total_days: usize,
-        windows: &[LoadWindow],
-        plans: &[WindowAssignment],
-        intensities: &[Vec<CarbonIntensity>],
-        dynamics: &[Vec<DayDynamics>],
-        resolutions: Option<&[WindowResolution]>,
-        retry_grams: f64,
     ) -> Result<LifecycleCell, SimError> {
         let site = &self.sites[site_idx];
         let wpd = self.config.windows_per_day;
@@ -1951,69 +1610,48 @@ impl LifecycleSim {
         // lint:allow(nondeterministic-iteration): lookup-only memo keyed by exact (start, end) bits; window order drives the accumulation
         let mut memo: HashMap<(u64, u64), SliceMeasure> = HashMap::new();
 
-        let mut requests = 0.0;
-        let mut dropped_requests = 0.0;
-        let mut retry_carbon = GramsCo2e::ZERO;
-        let mut operational = GramsCo2e::ZERO;
-        let mut embodied = GramsCo2e::ZERO;
-        let mut battery_replacements = 0;
-        let mut device_failures = 0;
-        let mut devices_replaced = 0;
-        let mut alive_sum = 0usize;
-        let mut worst_median_ms: f64 = 0.0;
-        let mut worst_tail_ms: f64 = 0.0;
-        let mut worst_p99_ms: f64 = 0.0;
-
         // The cell covers at most one year; a day-capped horizon leaves
         // the last cell short.
         let cell_start = year * DAYS_PER_YEAR;
-        let cell_end = ((year + 1) * DAYS_PER_YEAR).min(total_days);
-        let year_days = &dynamics[site_idx][cell_start..cell_end];
-        let mut daily = Vec::with_capacity(year_days.len());
+        let cell_end = ((year + 1) * DAYS_PER_YEAR).min(plan.days);
+        let year_days = &plan.dynamics[site_idx][cell_start..cell_end];
+        let mut cell = LifecycleCell {
+            year,
+            site: site_idx,
+            daily: Vec::with_capacity(year_days.len()),
+            ..LifecycleCell::default()
+        };
+        let mut alive_sum = 0usize;
+        let (mut worst_median_ms, mut worst_tail_ms, mut worst_p99_ms) =
+            (0.0_f64, 0.0_f64, 0.0_f64);
         for (offset, state) in year_days.iter().enumerate() {
             let day = cell_start + offset;
             alive_sum += state.alive;
-            battery_replacements += state.battery_replacements;
-            device_failures += state.device_failures;
-            devices_replaced += state.devices_replaced;
+            cell.battery_replacements += state.battery_replacements;
+            cell.device_failures += state.device_failures;
+            cell.devices_replaced += state.devices_replaced;
             let mut day_requests = 0.0;
             let mut day_operational = GramsCo2e::ZERO;
             let mut day_retry = GramsCo2e::ZERO;
             for k in 0..wpd {
                 let w = day * wpd + k;
-                let window = &windows[w];
-                let (qps_start, qps_end) = plans[w].shares()[site_idx];
+                let window = &plan.windows[w];
+                let (qps_start, qps_end) = plan.routes[w].shares()[site_idx];
                 let mean_qps = (qps_start + qps_end) / 2.0;
-                // The window's resolved fault outcome at this site:
-                // delivered first-attempt ratio, true availability, and
-                // the retry/hedge/degradation traffic landed here. The
-                // fault-free defaults reduce every expression below to
-                // the plain path bit-for-bit.
-                let (ratio, avail, extra_mean, attempt_mean) = match resolutions {
-                    Some(res) => {
-                        let r = &res[w];
-                        (
-                            r.delivered_ratio[site_idx],
-                            r.avail[site_idx],
-                            r.extra_served_mean[site_idx],
-                            r.retry_attempt_mean[site_idx],
-                        )
-                    }
-                    None => (1.0, 1.0, 0.0, 0.0),
-                };
+                // The window's resolved outcome at this site: delivered
+                // first-attempt ratio, true availability, and the
+                // retry/hedge/degradation traffic landed here.
+                let r = plan.resolution(w);
+                let (ratio, avail) = (r.delivered_ratio[site_idx], r.avail[site_idx]);
+                let extra_mean = r.extra_served_mean[site_idx];
+                let attempt_mean = r.retry_attempt_mean[site_idx];
                 // The measured slice replays only the traffic actually
-                // delivered on first attempt: `ratio < 1.0` scales the
-                // endpoints (and thereby the memo key); the healthy
-                // branch leaves the original bits untouched.
-                let (eff_start, eff_end) = if ratio < 1.0 {
-                    (qps_start * ratio, qps_end * ratio)
-                } else {
-                    (qps_start, qps_end)
-                };
-                let eff_mean = (eff_start + eff_end) / 2.0;
-                let (utilization, median_ms, tail_ms, p99_ms, drop_fraction) = if eff_mean > 0.0 {
+                // delivered on first attempt; the scaled endpoints are the
+                // memo key.
+                let (eff_start, eff_end) = (qps_start * ratio, qps_end * ratio);
+                let (slice, utilization) = if (eff_start + eff_end) / 2.0 > 0.0 {
                     let key = (eff_start.to_bits(), eff_end.to_bits());
-                    let measured = if let Some(cached) = memo.get(&key) {
+                    let slice = if let Some(cached) = memo.get(&key) {
                         *cached
                     } else {
                         let seed =
@@ -2034,38 +1672,25 @@ impl LifecycleSim {
                     // the independent-failure scale is further inflated
                     // by the fault availability (strictly positive here,
                     // or nothing would have been delivered to measure).
-                    (
-                        (measured.utilization * (state.utilization_scale / avail)).min(1.0),
-                        measured.median_ms,
-                        measured.tail_ms,
-                        measured.p99_ms,
-                        measured.drop_fraction,
-                    )
+                    let scale = state.utilization_scale / avail;
+                    (slice, (slice.utilization * scale).min(1.0))
                 } else {
-                    (0.0, 0.0, 0.0, 0.0, 0.0)
+                    (SliceMeasure::default(), 0.0)
                 };
-                worst_median_ms = worst_median_ms.max(median_ms);
-                worst_tail_ms = worst_tail_ms.max(tail_ms);
-                worst_p99_ms = worst_p99_ms.max(p99_ms);
+                worst_median_ms = worst_median_ms.max(slice.median_ms);
+                worst_tail_ms = worst_tail_ms.max(slice.tail_ms);
+                worst_p99_ms = worst_p99_ms.max(slice.p99_ms);
                 // Battery-backed device energy earns the smart-charging
                 // scale; the overhead draw (fan, switch) has no battery
                 // to time-shift it and is billed at face value. During a
                 // fault, only the surviving fraction of devices draws
                 // power; a fully dark site loses its overhead draw too.
-                let idle_effective = if avail < 1.0 {
-                    state.idle_power * avail
-                } else {
-                    state.idle_power
-                };
-                let dynamic_effective = if avail < 1.0 {
-                    state.dynamic_power * avail
-                } else {
-                    state.dynamic_power
-                };
+                let idle_effective = state.idle_power * avail;
+                let dynamic_effective = state.dynamic_power * avail;
                 let device_energy =
                     (idle_effective + dynamic_effective * utilization) * window.duration();
                 let overhead_energy = state.overhead_power * window.duration();
-                let intensity = intensities[w][site_idx];
+                let intensity = plan.intensities[w][site_idx];
                 let op = intensity.emissions_for(device_energy) * state.operational_scale
                     + if avail > 0.0 {
                         intensity.emissions_for(overhead_energy)
@@ -2080,13 +1705,8 @@ impl LifecycleSim {
                 // added on top (its queueing is folded into the marginal
                 // retry-carbon charge below).
                 let offered = mean_qps * window.duration().seconds();
-                if ratio < 1.0 {
-                    day_requests += offered * ratio * (1.0 - drop_fraction);
-                    dropped_requests += offered * ratio * drop_fraction;
-                } else {
-                    day_requests += offered * (1.0 - drop_fraction);
-                    dropped_requests += offered * drop_fraction;
-                }
+                day_requests += offered * ratio * (1.0 - slice.drop_fraction);
+                cell.dropped_requests += offered * ratio * slice.drop_fraction;
                 if extra_mean > 0.0 {
                     day_requests += extra_mean * window.duration().seconds();
                 }
@@ -2095,8 +1715,9 @@ impl LifecycleSim {
                 // that did land are charged the marginal compute of the
                 // surviving devices serving them.
                 if attempt_mean > 0.0 || extra_mean > 0.0 {
-                    let network =
-                        GramsCo2e::new(attempt_mean * window.duration().seconds() * retry_grams);
+                    let network = GramsCo2e::new(
+                        attempt_mean * window.duration().seconds() * plan.retry_grams,
+                    );
                     let available_capacity = state.capacity_qps * avail;
                     let extra_util = if available_capacity > 0.0 {
                         (extra_mean / available_capacity).min(1.0)
@@ -2108,11 +1729,11 @@ impl LifecycleSim {
                         network + intensity.emissions_for(marginal) * state.operational_scale;
                 }
             }
-            requests += day_requests;
-            operational += day_operational;
-            retry_carbon += day_retry;
-            embodied += state.embodied;
-            daily.push(DayLedger {
+            cell.requests += day_requests;
+            cell.operational += day_operational;
+            cell.retry_carbon += day_retry;
+            cell.embodied += state.embodied;
+            cell.daily.push(DayLedger {
                 requests: day_requests,
                 operational: day_operational,
                 embodied: state.embodied,
@@ -2120,24 +1741,186 @@ impl LifecycleSim {
             });
         }
 
-        Ok(LifecycleCell {
-            year,
-            site: site_idx,
-            requests,
-            dropped_requests,
-            operational,
-            embodied,
-            retry_carbon,
-            battery_replacements,
-            device_failures,
-            devices_replaced,
-            mean_alive: counts_ratio(alive_sum, year_days.len()),
-            worst_median_ms: Millis::from_millis(worst_median_ms),
-            worst_tail_ms: Millis::from_millis(worst_tail_ms),
-            worst_p99_ms: Millis::from_millis(worst_p99_ms),
-            daily,
-        })
+        cell.mean_alive = counts_ratio(alive_sum, year_days.len());
+        cell.worst_median_ms = Millis::from_millis(worst_median_ms);
+        cell.worst_tail_ms = Millis::from_millis(worst_tail_ms);
+        cell.worst_p99_ms = Millis::from_millis(worst_p99_ms);
+        Ok(cell)
     }
+
+    /// Folds the cells (in cell order) into the result: horizon totals,
+    /// the fleet-wide day ledger, declined demand, the per-window health
+    /// series with its availability totals, and — when tracing — the
+    /// conservation ledger.
+    fn fold<R: Recorder>(
+        &self,
+        plan: &WindowPlan,
+        cells: Vec<LifecycleCell>,
+        recorder: &mut R,
+    ) -> LifecycleResult {
+        let mut day_ledger = vec![DayLedger::default(); plan.days];
+        let mut total_requests = 0.0;
+        let mut dropped_requests = 0.0;
+        let mut total_operational = GramsCo2e::ZERO;
+        let mut total_embodied = GramsCo2e::ZERO;
+        let mut total_retry_carbon = GramsCo2e::ZERO;
+        for cell in &cells {
+            total_requests += cell.requests;
+            dropped_requests += cell.dropped_requests;
+            total_operational += cell.operational;
+            total_embodied += cell.embodied;
+            total_retry_carbon += cell.retry_carbon;
+            for (offset, ledger) in cell.daily.iter().enumerate() {
+                let merged = &mut day_ledger[cell.year * DAYS_PER_YEAR + offset];
+                merged.requests += ledger.requests;
+                merged.operational += ledger.operational;
+                merged.embodied += ledger.embodied;
+                merged.retry += ledger.retry;
+            }
+        }
+        let window_s = plan.windows[0].duration().seconds();
+        let declined_requests = plan
+            .routes
+            .iter()
+            .map(|p| p.declined_mean_qps() * window_s)
+            .sum();
+
+        // Availability accounting: the resolved outcomes rolled up into
+        // horizon totals and the per-window health series.
+        let mut failed_requests = 0.0;
+        let mut retried_ok_requests = 0.0;
+        let mut hedged_requests = 0.0;
+        let mut rerouted_requests = 0.0;
+        let mut brownout_requests = 0.0;
+        let mut low_priority_shed_requests = 0.0;
+        let mut window_health = Vec::with_capacity(plan.windows.len());
+        for (w, route) in plan.routes.iter().enumerate() {
+            let offered: f64 = (0..self.sites.len())
+                .map(|s| route.site_mean_qps(s))
+                .sum::<f64>()
+                * window_s;
+            let r = plan.resolution(w);
+            let failed = r.failed_mean * window_s;
+            let lp_shed = r.lp_shed_mean * window_s;
+            failed_requests += failed;
+            retried_ok_requests += r.retried_ok_mean * window_s;
+            hedged_requests += r.hedged_mean * window_s;
+            rerouted_requests += r.rerouted_mean * window_s;
+            brownout_requests += r.brownout_mean * window_s;
+            low_priority_shed_requests += lp_shed;
+            window_health.push(WindowHealth {
+                offered,
+                served: offered - failed - lp_shed,
+                failed,
+            });
+        }
+        if recorder.enabled() {
+            record_conservation(plan, &window_health, &day_ledger, recorder);
+        }
+
+        LifecycleResult {
+            policy: self.policy,
+            site_names: self.site_names().map(str::to_owned).collect(),
+            years: plan.years(),
+            cells,
+            day_ledger,
+            declined_requests,
+            dropped_requests,
+            total_requests,
+            total_operational,
+            total_embodied,
+            failed_requests,
+            retried_ok_requests,
+            hedged_requests,
+            rerouted_requests,
+            brownout_requests,
+            low_priority_shed_requests,
+            total_retry_carbon,
+            window_health,
+            horizon_seconds: count_f64(plan.windows.len()) * window_s,
+        }
+    }
+}
+
+/// The serial stages of a lifecycle run, computed before the
+/// (year, site) fan-out and only read by the cells.
+struct WindowPlan {
+    days: usize,
+    windows: Vec<LoadWindow>,
+    /// `dynamics[site][day]`.
+    dynamics: Vec<Vec<DayDynamics>>,
+    routes: Vec<WindowAssignment>,
+    /// `intensities[window][site]`.
+    intensities: Vec<Vec<CarbonIntensity>>,
+    /// One entry per window when faults or a standby fallback can change
+    /// serving; empty otherwise, so a fault-free run allocates none.
+    resolutions: Vec<WindowResolution>,
+    healthy: WindowResolution,
+    /// Network carbon of one retry or hedge attempt, grams.
+    retry_grams: f64,
+}
+
+impl WindowPlan {
+    /// Years the horizon spans: the number of (year) cell rows.
+    fn years(&self) -> usize {
+        self.days.div_ceil(DAYS_PER_YEAR)
+    }
+
+    /// The resolved serving outcome of window `w`: its own resolution on
+    /// a run with faults or a fallback, the shared healthy one otherwise.
+    fn resolution(&self, w: usize) -> &WindowResolution {
+        self.resolutions.get(w).unwrap_or(&self.healthy)
+    }
+}
+
+/// The live conservation ledger: every window's request identity and
+/// every day's carbon identity re-checked at record time. A violation
+/// becomes a `ledger` event keyed `"violation"` — the trace witnesses the
+/// leak instead of silently absorbing it.
+fn record_conservation<R: Recorder>(
+    plan: &WindowPlan,
+    window_health: &[WindowHealth],
+    day_ledger: &[DayLedger],
+    recorder: &mut R,
+) {
+    let window_s = plan.windows[0].duration().seconds();
+    let mut ledger = ConservedLedger::new();
+    for ((window, health), route) in plan.windows.iter().zip(window_health).zip(&plan.routes) {
+        let declined = route.declined_mean_qps() * window_s;
+        let shed = health.offered - health.served - health.failed;
+        if let Err(err) = ledger.record_requests(
+            health.offered + declined,
+            health.served,
+            declined,
+            0.0,
+            shed,
+            health.failed,
+        ) {
+            recorder.event(
+                TraceEvent::new(
+                    EventKind::Ledger,
+                    window.start().seconds(),
+                    "violation",
+                    health.offered,
+                )
+                .with_detail(&err.to_string()),
+            );
+        }
+    }
+    for (day, entry) in day_ledger.iter().enumerate() {
+        let operational = entry.operational.grams();
+        let embodied = entry.embodied.grams();
+        let retry = entry.retry.grams();
+        let total = operational + embodied + retry;
+        let t = count_f64(day) * 24.0 * 3600.0;
+        if let Err(err) = ledger.record_carbon(total, operational, embodied, retry) {
+            recorder.event(
+                TraceEvent::new(EventKind::Ledger, t, "violation", total)
+                    .with_detail(&err.to_string()),
+            );
+        }
+    }
+    recorder.event(ledger.snapshot(count_f64(plan.windows.len()) * window_s));
 }
 
 #[cfg(test)]
@@ -2168,20 +1951,22 @@ mod tests {
     }
 
     fn cohort_site(seed: u64, devices: usize) -> LifecycleSite {
-        LifecycleSite::cohort(
+        LifecycleSite::try_cohort(
             "cloudlet",
             &tiny_sim(),
             diurnal_region(seed),
             (0..devices).map(|_| phone_slot(300.0)).collect(),
             GramsCo2e::from_kilograms(20.0),
         )
+        .unwrap()
         .overhead_power(Watts::new(4.0))
         .failures(400.0, 5)
         .unwrap()
     }
 
     fn leased_site(capacity: f64) -> LifecycleSite {
-        LifecycleSite::leased("datacenter", &tiny_sim(), flat_region(420.0), capacity)
+        LifecycleSite::try_leased("datacenter", &tiny_sim(), flat_region(420.0), capacity)
+            .unwrap()
             .power(Watts::new(120.0), Watts::new(90.0))
             .embodied(
                 GramsCo2e::from_kilograms(1_344.0),
@@ -2271,13 +2056,14 @@ mod tests {
             "caiso-month",
             CaisoSynthesizer::april_2021_like(3).intensity_trace(),
         );
-        let site = LifecycleSite::cohort(
+        let site = LifecycleSite::try_cohort(
             "cloudlet",
             &tiny_sim(),
             region,
             vec![phone_slot(300.0), phone_slot(300.0)],
             GramsCo2e::ZERO,
-        );
+        )
+        .unwrap();
         let sim = LifecycleSim::new(
             vec![site],
             DiurnalSchedule::flat(100.0),
@@ -2387,13 +2173,14 @@ mod tests {
             TimeSpan::from_hours(1.0),
             TimeSpan::from_hours(30.0),
         );
-        let _ = LifecycleSite::cohort(
+        let _ = LifecycleSite::try_cohort(
             "bad",
             &tiny_sim(),
             GridRegion::new("bad", trace),
             vec![phone_slot(100.0)],
             GramsCo2e::ZERO,
-        );
+        )
+        .unwrap();
     }
 
     #[test]

@@ -17,116 +17,11 @@ use junkyard_microsim::sim::SimError;
 use junkyard_microsim::sweep::decorrelate_seed;
 use junkyard_obs::{fanout, NoopRecorder, Recorder};
 
+pub use crate::config::FleetConfig;
 use crate::routing::{plan_window, RoutingPolicy, WindowAssignment};
 use crate::schedule::{DiurnalSchedule, LoadWindow};
 use crate::site::FleetSite;
 use crate::{measure_slice, SliceMeasure};
-
-/// Tunables of a fleet run: accounting granularity, the length of the
-/// representative microsim slice per cell, seeding and threading.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FleetConfig {
-    windows_per_day: usize,
-    sim_slice_s: f64,
-    warmup_s: f64,
-    seed: u64,
-    parallelism: Option<usize>,
-}
-
-impl FleetConfig {
-    /// Defaults: 24 one-hour windows per day, a 2-second measured slice
-    /// after a 1-second warm-up, seed 42, machine parallelism.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            windows_per_day: 24,
-            sim_slice_s: 2.0,
-            warmup_s: 1.0,
-            seed: 42,
-            parallelism: None,
-        }
-    }
-
-    /// Sets the number of accounting windows per day.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    #[must_use]
-    pub fn windows_per_day(mut self, windows_per_day: usize) -> Self {
-        assert!(windows_per_day > 0, "need at least one window per day");
-        self.windows_per_day = windows_per_day;
-        self
-    }
-
-    /// Sets the measured length of each cell's representative microsim
-    /// slice. Latency and utilisation measured over this slice are
-    /// extrapolated to the whole window.
-    ///
-    /// The engine accumulates utilisation in one-second buckets, so the
-    /// slice must be a whole number of seconds — a fractional trailing
-    /// bucket would be divided by a full second and bias utilisation
-    /// (and therefore energy and operational carbon) low.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not a strictly positive whole number of seconds.
-    #[must_use]
-    pub fn sim_slice_s(mut self, seconds: f64) -> Self {
-        assert!(seconds > 0.0, "slice duration must be positive");
-        assert!(
-            seconds.fract() == 0.0,
-            "slice duration must be a whole number of seconds (1-second utilisation buckets)"
-        );
-        self.sim_slice_s = seconds;
-        self
-    }
-
-    /// Sets the warm-up excluded from each slice's measurements.
-    ///
-    /// Like the slice, the warm-up must be a whole number of seconds so
-    /// the measurement window aligns with the engine's one-second
-    /// utilisation buckets and no warm-up work leaks into it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if negative or not a whole number of seconds.
-    #[must_use]
-    pub fn warmup_s(mut self, seconds: f64) -> Self {
-        assert!(seconds >= 0.0, "warm-up cannot be negative");
-        assert!(
-            seconds.fract() == 0.0,
-            "warm-up must be a whole number of seconds (1-second utilisation buckets)"
-        );
-        self.warmup_s = seconds;
-        self
-    }
-
-    /// Sets the root seed; per-cell seeds are mixed from it.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Caps the number of worker threads; `1` forces a serial run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    #[must_use]
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "a fleet run needs at least one worker");
-        self.parallelism = Some(workers);
-        self
-    }
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// One (window, site) cell of the accounting grid.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

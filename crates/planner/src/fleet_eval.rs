@@ -110,6 +110,10 @@ impl LeasedBlueprint {
     }
 }
 
+/// Seed of the swarm-spread placement shuffle every cohort simulation
+/// is built with.
+const PLACEMENT_SEED: u64 = 11;
+
 /// Scores candidates by building and running a [`LifecycleSim`] per
 /// `(candidate, fidelity)` pair. Every internal run is forced serial —
 /// the planner parallelises *across* candidates — and workload seeds are
@@ -127,7 +131,6 @@ pub struct FleetEvaluator {
     space: PlannerSpace,
     app: Application,
     network: NetworkModel,
-    placement_seed: u64,
     request_type: Option<String>,
     schedule: DiurnalSchedule,
     leased: Option<LeasedBlueprint>,
@@ -173,7 +176,6 @@ impl FleetEvaluator {
             space,
             app,
             network,
-            placement_seed: 11,
             request_type: None,
             schedule,
             leased: None,
@@ -186,24 +188,13 @@ impl FleetEvaluator {
             screen_curves: Vec::new(),
             leased_curve: None,
         };
-        evaluator.rebuild_cohort_sims();
-        evaluator
-    }
-
-    /// (Re)builds the per-option serving simulations.
-    fn rebuild_cohort_sims(&mut self) {
-        self.cohort_sims = self
+        evaluator.cohort_sims = evaluator
             .space
             .cohort_options()
             .iter()
-            .map(|option| {
-                if option.is_empty() {
-                    None
-                } else {
-                    Some(self.build_cohort_sim(option))
-                }
-            })
+            .map(|option| (!option.is_empty()).then(|| evaluator.build_cohort_sim(option)))
             .collect();
+        evaluator
     }
 
     /// The prebuilt simulation of one (non-empty) cohort option.
@@ -221,15 +212,6 @@ impl FleetEvaluator {
     #[must_use]
     pub fn request_type(mut self, name: impl Into<String>) -> Self {
         self.request_type = Some(name.into());
-        self
-    }
-
-    /// Sets the seed of the swarm-spread placement shuffle (and
-    /// rebuilds the prebuilt cohort simulations under it).
-    #[must_use]
-    pub fn placement_seed(mut self, seed: u64) -> Self {
-        self.placement_seed = seed;
-        self.rebuild_cohort_sims();
         self
     }
 
@@ -362,7 +344,7 @@ impl FleetEvaluator {
             }
         }
         let app = self.app.clone();
-        let placement = Placement::swarm_spread(&app, &nodes, self.placement_seed)
+        let placement = Placement::swarm_spread(&app, &nodes, PLACEMENT_SEED)
             .map_err(|e| EvalError::Build(format!("{}: {e:?}", option.label())))?;
         Simulation::new(app, nodes, placement, self.network)
             .map_err(|e| EvalError::Build(format!("{}: {e}", option.label())))

@@ -22,7 +22,7 @@
 //!   [`LifecycleSim`](junkyard_fleet::lifecycle::LifecycleSim) runs,
 //!   with a saturation pre-screen built on
 //!   [`LatencyCurve::max_sustainable_qps`](junkyard_microsim::sweep::LatencyCurve::max_sustainable_qps).
-//! * [`search`] — successive halving over fidelity plus seeded local
+//! * [`search`](mod@search) — successive halving over fidelity plus seeded local
 //!   search, fanning candidate evaluations across scoped worker threads
 //!   with the workspace's order-preserving-slot pattern: results,
 //!   frontier and even cache-hit counts are bit-identical at any worker

@@ -60,13 +60,14 @@ fn cohort_site(seed: u64) -> LifecycleSite {
     let trace = CaisoSynthesizer::new(seed, 2)
         .step(TimeSpan::from_hours(1.0))
         .intensity_trace();
-    LifecycleSite::cohort(
+    LifecycleSite::try_cohort(
         "cloudlet",
         &tiny_sim(),
         GridRegion::new("caiso", trace),
         vec![phone_slot(400.0), phone_slot(400.0)],
         GramsCo2e::from_kilograms(15.0),
     )
+    .unwrap()
     .overhead_power(Watts::new(2.0))
     .failures(300.0, 4)
     .unwrap()
@@ -78,12 +79,13 @@ fn leased_site(capacity: f64) -> LifecycleSite {
         TimeSpan::from_hours(1.0),
         TimeSpan::from_days(1.0),
     );
-    LifecycleSite::leased(
+    LifecycleSite::try_leased(
         "datacenter",
         &tiny_sim(),
         GridRegion::new("gas", trace),
         capacity,
     )
+    .unwrap()
     .power(Watts::new(50.0), Watts::new(40.0))
     .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0))
 }

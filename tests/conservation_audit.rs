@@ -145,13 +145,14 @@ fn lifecycle_result_conserved_buckets_pin_the_identity() {
     let trace = CaisoSynthesizer::new(5, 2)
         .step(TimeSpan::from_hours(1.0))
         .intensity_trace();
-    let cohort = LifecycleSite::cohort(
+    let cohort = LifecycleSite::try_cohort(
         "cloudlet",
         &tiny_sim(),
         GridRegion::new("caiso", trace),
         vec![phone_slot(400.0), phone_slot(400.0)],
         GramsCo2e::from_kilograms(15.0),
     )
+    .unwrap()
     .overhead_power(Watts::new(2.0))
     .failures(300.0, 4)
     .unwrap();
@@ -160,12 +161,13 @@ fn lifecycle_result_conserved_buckets_pin_the_identity() {
         TimeSpan::from_hours(1.0),
         TimeSpan::from_days(1.0),
     );
-    let leased = LifecycleSite::leased(
+    let leased = LifecycleSite::try_leased(
         "datacenter",
         &tiny_sim(),
         GridRegion::new("gas", flat),
         400.0,
     )
+    .unwrap()
     .power(Watts::new(50.0), Watts::new(40.0))
     .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0));
 

@@ -59,20 +59,22 @@ fn cohort_site() -> LifecycleSite {
     let trace = CaisoSynthesizer::new(7, 2)
         .step(TimeSpan::from_hours(1.0))
         .intensity_trace();
-    LifecycleSite::cohort(
+    LifecycleSite::try_cohort(
         "cloudlet",
         &tiny_sim(),
         GridRegion::new("caiso", trace),
         vec![phone_slot(400.0), phone_slot(400.0)],
         GramsCo2e::from_kilograms(15.0),
     )
+    .unwrap()
     .overhead_power(Watts::new(2.0))
     .failures(300.0, 4)
     .unwrap()
 }
 
 fn leased_site() -> LifecycleSite {
-    LifecycleSite::leased("datacenter", &tiny_sim(), flat_region(420.0), 300.0)
+    LifecycleSite::try_leased("datacenter", &tiny_sim(), flat_region(420.0), 300.0)
+        .unwrap()
         .power(Watts::new(50.0), Watts::new(40.0))
         .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0))
 }
