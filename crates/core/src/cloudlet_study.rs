@@ -5,7 +5,7 @@
 use junkyard_carbon::cci::{CciCalculator, CciError};
 use junkyard_carbon::embodied::EmbodiedCarbon;
 use junkyard_carbon::ops::{OpUnit, Throughput};
-use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
+use junkyard_carbon::units::{CarbonIntensity, TimeSpan, Watts};
 use junkyard_devices::catalog::{self, C5Size};
 use junkyard_microsim::app::{
     hotel_reservation, social_network, Application, SN_COMPOSE_POST, SN_READ_HOME_TIMELINE,
@@ -14,7 +14,9 @@ use junkyard_microsim::fanout;
 use junkyard_microsim::metrics::RunMetrics;
 use junkyard_microsim::sweep::{run_figure8, LatencyCurve, SweepConfig};
 
-use crate::deployments::{build_deployment, DeploymentError, DeploymentKind};
+use crate::deployments::{
+    build_deployment, DeploymentError, DeploymentKind, FAN_EMBODIED, FAN_POWER,
+};
 use crate::report::{Chart, SeriesLine};
 
 /// The three end-to-end workloads evaluated in Section 6.
@@ -280,14 +282,9 @@ pub fn phone_cloudlet_request_calculator(qps: f64, grid: CarbonIntensity) -> Cci
     let pixel = catalog::pixel_3a();
     let battery = pixel.battery().expect("the Pixel has a battery");
     let serving_power_per_phone = Watts::new(1.7);
-    let fan = Watts::new(4.0);
-    let cluster_power = serving_power_per_phone * 10.0 + fan;
+    let cluster_power = serving_power_per_phone * 10.0 + FAN_POWER;
     CciCalculator::new(OpUnit::Request)
-        .embodied(EmbodiedCarbon::reused().with_item(
-            "server fan",
-            GramsCo2e::from_kilograms(9.3),
-            1.0,
-        ))
+        .embodied(EmbodiedCarbon::reused().with_item("server fan", FAN_EMBODIED, 1.0))
         .average_power(cluster_power)
         .grid(grid)
         .throughput(Throughput::per_second(qps, OpUnit::Request))

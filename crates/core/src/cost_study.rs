@@ -4,6 +4,7 @@
 use junkyard_carbon::units::{TimeSpan, Watts};
 use junkyard_devices::catalog::{self, C5Size};
 
+use crate::deployments::FAN_POWER;
 use crate::report::Table;
 
 /// Default California retail electricity price used by the study, USD/kWh.
@@ -51,7 +52,7 @@ impl DeploymentCost {
             "Junkyard cloudlet (10x Pixel 3A)",
             per_phone * 10.0 + 60.0, // phones plus the fan and charging hardware
             0.0,
-            Watts::new(1.7 * 10.0 + 4.0),
+            Watts::new(1.7 * 10.0 + FAN_POWER.value()),
             CALIFORNIA_ELECTRICITY_USD_PER_KWH,
         )
     }

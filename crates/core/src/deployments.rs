@@ -1,12 +1,80 @@
 //! Ready-made simulation deployments for the Section 6 evaluation: the
 //! ten-phone junkyard cloudlet and the EC2 C5 comparison instances.
+//!
+//! This module is also the one home of the cloudlet-versus-datacenter
+//! scenario the fleet, lifecycle, resilience and planner studies share:
+//! the cloudlet's server fan, the c5.9xlarge backend (its serving
+//! simulation, power split and lease) on a flat gas-heavy grid, and the
+//! antipodal twin of a cloudlet region's grid trace.
 
-use junkyard_devices::catalog::C5Size;
-use junkyard_microsim::app::Application;
+use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
+use junkyard_devices::catalog::{self, C5Size};
+use junkyard_fleet::site::GridRegion;
+use junkyard_grid::trace::IntensityTrace;
+use junkyard_microsim::app::{social_network, Application};
 use junkyard_microsim::network::NetworkModel;
 use junkyard_microsim::node::{ten_pixel_cloudlet, NodeSpec};
 use junkyard_microsim::placement::{Placement, PlacementError};
 use junkyard_microsim::sim::{SimError, Simulation};
+
+/// Always-on draw of a cloudlet's server fan (Section 5.2).
+pub(crate) const FAN_POWER: Watts = Watts::new(4.0);
+
+/// Embodied carbon of a cloudlet's new server fan, 9.3 kgCO2e
+/// (Section 5.2).
+pub(crate) const FAN_EMBODIED: GramsCo2e = GramsCo2e::new(9_300.0);
+
+/// The c5.9xlarge's idle floor. The paper cites 140.7 W at the 10–30 %
+/// utilisation it observed; the split is a dominant idle floor plus
+/// [`C5_DYNAMIC_POWER`] at full load.
+pub(crate) const C5_IDLE_POWER: Watts = Watts::new(120.0);
+
+/// The c5.9xlarge's utilisation term, added at 100 % utilisation.
+pub(crate) const C5_DYNAMIC_POWER: Watts = Watts::new(90.0);
+
+/// The rented c5.9xlarge's lease: the instance's embodied carbon and the
+/// four years it amortises linearly over.
+#[must_use]
+pub(crate) fn c5_lease() -> (GramsCo2e, TimeSpan) {
+    (
+        catalog::c5_instance(C5Size::XLarge9).embodied(),
+        TimeSpan::from_years(4.0),
+    )
+}
+
+/// The c5.9xlarge serving the social-network application, as Figure 7
+/// deploys it.
+///
+/// # Errors
+///
+/// Returns [`DeploymentError`] if placement or simulation assembly fails.
+pub(crate) fn c5_serving_sim() -> Result<Simulation, DeploymentError> {
+    build_deployment(DeploymentKind::C5(C5Size::XLarge9), &social_network(), 11)
+}
+
+/// The datacenter's flat gas-heavy grid at 420 gCO2e/kWh, sampled
+/// hourly over `days` days.
+#[must_use]
+pub(crate) fn gas_heavy_region(days: usize) -> GridRegion {
+    let trace = IntensityTrace::constant(
+        CarbonIntensity::from_grams_per_kwh(420.0),
+        TimeSpan::from_hours(1.0),
+        TimeSpan::from_days(days as f64),
+    );
+    GridRegion::new("gas-heavy", trace)
+}
+
+/// The antipodal twin of a cloudlet region's grid trace: the same
+/// samples shifted by twelve hours, so the solar trough of one region
+/// lines up with the evening peak of the other.
+#[must_use]
+pub(crate) fn antipodal_twin(trace: &IntensityTrace) -> IntensityTrace {
+    let half_day_steps = (TimeSpan::from_hours(12.0).seconds() / trace.step().seconds()).round();
+    let mut values = trace.values().to_vec();
+    let shift = half_day_steps as usize % values.len();
+    values.rotate_left(shift);
+    IntensityTrace::new(trace.step(), values)
+}
 
 /// Identifies one of the deployments compared in Figure 7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

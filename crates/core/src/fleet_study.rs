@@ -12,8 +12,8 @@
 //! embodied carbon into gCO2e per request.
 
 use junkyard_carbon::embodied::battery_replacement_carbon;
-use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
-use junkyard_devices::catalog::{self, C5Size};
+use junkyard_carbon::units::{TimeSpan, Watts};
+use junkyard_devices::catalog;
 use junkyard_devices::components::ComponentBreakdown;
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::schedule::DiurnalSchedule;
@@ -24,15 +24,14 @@ use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
 
 use crate::cloudlet_study::CloudletWorkload;
-use crate::deployments::{build_deployment, DeploymentError, DeploymentKind};
+use crate::deployments::{
+    antipodal_twin, build_deployment, c5_lease, c5_serving_sim, gas_heavy_region, DeploymentError,
+    DeploymentKind, C5_DYNAMIC_POWER, C5_IDLE_POWER, FAN_EMBODIED, FAN_POWER,
+};
 use crate::report::{Chart, SeriesLine, Table};
 
 /// Serving power per phone under load (Section 6.3).
 const PHONE_SERVING_WATTS: f64 = 1.7;
-/// Embodied carbon of the cloudlet's server fan, kgCO2e (Section 5.2).
-const FAN_EMBODIED_KG: f64 = 9.3;
-/// Flat carbon intensity of the datacenter's gas-heavy grid, gCO2e/kWh.
-const DATACENTER_GRID_G_PER_KWH: f64 = 420.0;
 
 /// Configuration of the two-region fleet study.
 #[derive(Debug, Clone)]
@@ -129,11 +128,7 @@ impl FleetStudy {
         // Smart charging needs at least one full previous day of history.
         let trace_days = self.days.max(2);
         let west = CaisoSynthesizer::new(self.seed, trace_days).intensity_trace();
-        let half_day_steps = (TimeSpan::from_hours(12.0).seconds() / west.step().seconds()).round();
-        let mut values = west.values().to_vec();
-        let shift = half_day_steps as usize % values.len();
-        values.rotate_left(shift);
-        let east = IntensityTrace::new(west.step(), values);
+        let east = antipodal_twin(&west);
         (west, east)
     }
 
@@ -172,8 +167,7 @@ impl FleetStudy {
             amortization,
             battery.projected_lifetime(Watts::new(PHONE_SERVING_WATTS)),
         );
-        let embodied =
-            per_phone * 10.0 + GramsCo2e::from_kilograms(FAN_EMBODIED_KG) + replacements * 10.0;
+        let embodied = per_phone * 10.0 + FAN_EMBODIED + replacements * 10.0;
 
         // Operational: smart charging shifts wall draw into the region's
         // cleanest hours; its median daily saving scales the site's
@@ -181,7 +175,7 @@ impl FleetStudy {
         let charging_scale = smart_charging_scale(Watts::new(PHONE_SERVING_WATTS), battery, &trace);
 
         // Idle/full-load power from the measured Pixel curve, plus the fan.
-        let idle = Watts::new(10.0 * pixel.power().idle().value() + 4.0);
+        let idle = Watts::new(10.0 * pixel.power().idle().value() + FAN_POWER.value());
         let dynamic = Watts::new(
             10.0 * (pixel.power().at_full_load().value() - pixel.power().idle().value()),
         );
@@ -204,26 +198,16 @@ impl FleetStudy {
     ///
     /// Returns [`DeploymentError`] if the deployment cannot be assembled.
     pub fn datacenter_site(&self, name: &str) -> Result<FleetSite, DeploymentError> {
-        let app = social_network();
-        let sim = build_deployment(DeploymentKind::C5(C5Size::XLarge9), &app, 11)?;
-        let c5 = catalog::c5_instance(C5Size::XLarge9);
-        let trace_days = self.days.max(2);
-        let trace = IntensityTrace::constant(
-            CarbonIntensity::from_grams_per_kwh(DATACENTER_GRID_G_PER_KWH),
-            TimeSpan::from_hours(1.0),
-            TimeSpan::from_days(trace_days as f64),
-        );
-        // The paper cites 140.7 W at the 10-30 % utilisation it observed;
-        // split that into a dominant idle floor plus a utilisation term.
+        let (embodied, lease) = c5_lease();
         Ok(FleetSite::new(
             name,
-            &sim,
-            GridRegion::new("gas-heavy", trace),
+            &c5_serving_sim()?,
+            gas_heavy_region(self.days.max(2)),
             CloudletWorkload::SocialNetworkWrite.paper_c5_9xlarge_qps(),
         )
         .request_type(SN_COMPOSE_POST)
-        .power(Watts::new(120.0), Watts::new(90.0))
-        .embodied(c5.embodied(), TimeSpan::from_years(4.0)))
+        .power(C5_IDLE_POWER, C5_DYNAMIC_POWER)
+        .embodied(embodied, lease))
     }
 
     /// Sustainable compose-post throughput of one phone cloudlet (the

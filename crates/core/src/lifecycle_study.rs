@@ -16,17 +16,14 @@
 //! weeks — and crosses below it well within the paper's reported horizon
 //! as service amortises it away.
 
-use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
-use junkyard_devices::catalog::{self, C5Size};
-use junkyard_devices::components::ComponentBreakdown;
-use junkyard_devices::device::DeviceSpec;
-use junkyard_devices::power::LoadProfile;
+use junkyard_carbon::units::{GramsCo2e, Qps, TimeSpan};
+use junkyard_devices::catalog;
 use junkyard_fleet::lifecycle::{
     CohortDevice, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite,
 };
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::schedule::DiurnalSchedule;
-use junkyard_fleet::site::{second_life_embodied, GridRegion};
+use junkyard_fleet::site::GridRegion;
 use junkyard_grid::synth::CaisoSynthesizer;
 use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
@@ -36,15 +33,12 @@ use junkyard_microsim::placement::Placement;
 use junkyard_microsim::sim::Simulation;
 
 use crate::cloudlet_study::CloudletWorkload;
-use crate::deployments::{build_deployment, DeploymentError, DeploymentKind};
+use crate::deployments::{
+    antipodal_twin, c5_lease, c5_serving_sim, gas_heavy_region, DeploymentError, C5_DYNAMIC_POWER,
+    C5_IDLE_POWER, FAN_EMBODIED, FAN_POWER,
+};
 use crate::report::{Chart, SeriesLine, Table};
 
-/// Embodied carbon of the cloudlet's server fan, kgCO2e (Section 5.2).
-const FAN_EMBODIED_KG: f64 = 9.3;
-/// Always-on cloudlet overhead draw (fan), watts.
-const FAN_WATTS: f64 = 4.0;
-/// Flat carbon intensity of the datacenter's gas-heavy grid, gCO2e/kWh.
-const DATACENTER_GRID_G_PER_KWH: f64 = 420.0;
 /// Pixel 3A slots per cloudlet.
 const PIXELS_PER_SITE: usize = 6;
 /// Nexus 4 slots per cloudlet.
@@ -172,32 +166,8 @@ impl LifecycleStudy {
         let west = CaisoSynthesizer::new(self.seed, self.trace_days)
             .step(self.trace_step)
             .intensity_trace();
-        let half_day_steps = (TimeSpan::from_hours(12.0).seconds() / west.step().seconds()).round();
-        let mut values = west.values().to_vec();
-        let shift = half_day_steps as usize % values.len();
-        values.rotate_left(shift);
-        let east = IntensityTrace::new(west.step(), values);
+        let east = antipodal_twin(&west);
         (west, east)
-    }
-
-    /// One cohort slot for `device`, with its Reuse-Factor replacement
-    /// share, light-medium serving power and measured power curve.
-    fn cohort_slot(device: &DeviceSpec, capacity_qps: f64) -> CohortDevice {
-        let reuse = device
-            .components()
-            .expect("cohort phones carry component breakdowns")
-            .reuse_factor(&ComponentBreakdown::compute_node_role());
-        let replacement = second_life_embodied(device.embodied(), &reuse);
-        let battery = device.battery().expect("cohort phones carry batteries");
-        let curve = device.power();
-        CohortDevice::new(
-            device.name(),
-            device.average_power(&LoadProfile::light_medium()),
-            battery,
-            replacement,
-            capacity_qps,
-        )
-        .power(curve.idle(), curve.at_full_load() - curve.idle())
     }
 
     /// Per-slot serving capacities: the Pixel's paper-measured share of
@@ -231,7 +201,7 @@ impl LifecycleStudy {
     /// # Errors
     ///
     /// Returns [`DeploymentError`] if the mixed cloudlet cannot be
-    /// assembled.
+    /// assembled or a catalog phone cannot fill a cohort slot.
     pub fn phone_site(
         &self,
         name: &str,
@@ -240,38 +210,36 @@ impl LifecycleStudy {
         let pixel = catalog::pixel_3a();
         let nexus = catalog::nexus_4();
         let (pixel_qps, nexus_qps) = Self::slot_capacities();
+        let pixel_slot = CohortDevice::from_spec(&pixel, Qps::from_per_second(pixel_qps))?;
+        let nexus_slot = CohortDevice::from_spec(&nexus, Qps::from_per_second(nexus_qps))?;
 
         let pixels = PIXELS_PER_SITE + self.spare_pixels;
         let mut nodes = Vec::with_capacity(pixels + NEXUSES_PER_SITE);
         let mut devices = Vec::with_capacity(pixels + NEXUSES_PER_SITE);
         for i in 0..pixels {
             nodes.push(NodeSpec::from_device(format!("pixel-{i}"), &pixel));
-            devices.push(Self::cohort_slot(&pixel, pixel_qps));
+            devices.push(pixel_slot.clone());
         }
         for i in 0..NEXUSES_PER_SITE {
             nodes.push(NodeSpec::from_device(format!("nexus-{i}"), &nexus));
-            devices.push(Self::cohort_slot(&nexus, nexus_qps));
+            devices.push(nexus_slot.clone());
         }
 
         let app = social_network();
-        let placement =
-            Placement::swarm_spread(&app, &nodes, 11).map_err(DeploymentError::Placement)?;
-        let sim = Simulation::new(app, nodes, placement, NetworkModel::phone_wifi())
-            .map_err(DeploymentError::Sim)?;
+        let placement = Placement::swarm_spread(&app, &nodes, 11)?;
+        let sim = Simulation::new(app, nodes, placement, NetworkModel::phone_wifi())?;
 
         let install: GramsCo2e = devices
             .iter()
             .map(CohortDevice::replacement_embodied)
             .sum::<GramsCo2e>()
-            + GramsCo2e::from_kilograms(FAN_EMBODIED_KG);
+            + FAN_EMBODIED;
 
         let site =
-            LifecycleSite::try_cohort(name, &sim, GridRegion::new(name, trace), devices, install)
-                .map_err(DeploymentError::SiteConfig)?
+            LifecycleSite::try_cohort(name, &sim, GridRegion::new(name, trace), devices, install)?
                 .request_type(SN_COMPOSE_POST)
-                .overhead_power(Watts::new(FAN_WATTS))
-                .failures(self.mean_days_between_failures, self.replacement_lag_days)
-                .map_err(DeploymentError::SiteConfig)?;
+                .overhead_power(FAN_POWER)
+                .failures(self.mean_days_between_failures, self.replacement_lag_days)?;
         Ok(site)
     }
 
@@ -283,27 +251,35 @@ impl LifecycleStudy {
     ///
     /// Returns [`DeploymentError`] if the deployment cannot be assembled.
     pub fn datacenter_site(&self, name: &str) -> Result<LifecycleSite, DeploymentError> {
-        let app = social_network();
-        let sim = build_deployment(DeploymentKind::C5(C5Size::XLarge9), &app, 11)?;
-        let c5 = catalog::c5_instance(C5Size::XLarge9);
-        let trace = IntensityTrace::constant(
-            CarbonIntensity::from_grams_per_kwh(DATACENTER_GRID_G_PER_KWH),
-            TimeSpan::from_hours(1.0),
-            TimeSpan::from_days(1.0),
-        );
+        let (embodied, lease) = c5_lease();
         Ok(LifecycleSite::try_leased(
             name,
-            &sim,
-            GridRegion::new("gas-heavy", trace),
-            CloudletWorkload::SocialNetworkWrite.paper_c5_9xlarge_qps(),
-        )
-        .map_err(DeploymentError::SiteConfig)?
+            &c5_serving_sim()?,
+            gas_heavy_region(1),
+            Qps::from_per_second(CloudletWorkload::SocialNetworkWrite.paper_c5_9xlarge_qps()),
+        )?
         .request_type(SN_COMPOSE_POST)
-        .power(Watts::new(120.0), Watts::new(90.0))
-        .embodied(c5.embodied(), TimeSpan::from_years(4.0)))
+        .power(C5_IDLE_POWER, C5_DYNAMIC_POWER)
+        .embodied(embodied, lease))
     }
 
-    fn config(&self) -> LifecycleConfig {
+    /// Overrides the routing windows per day.
+    ///
+    /// # Panics
+    ///
+    /// Panics if zero.
+    #[must_use]
+    pub(crate) fn windows_per_day(mut self, windows_per_day: usize) -> Self {
+        assert!(
+            windows_per_day > 0,
+            "the study needs at least one window per day"
+        );
+        self.windows_per_day = windows_per_day;
+        self
+    }
+
+    /// The study's run configuration over its horizon in years.
+    pub(crate) fn config(&self) -> LifecycleConfig {
         let mut config = LifecycleConfig::new(self.years)
             .windows_per_day(self.windows_per_day)
             .sim_slice_s(self.sim_slice_s)
@@ -328,7 +304,7 @@ impl LifecycleStudy {
         ];
         Ok(LifecycleSim::new(
             sites,
-            DiurnalSchedule::office_day(self.base_qps),
+            self.schedule(),
             RoutingPolicy::carbon_aware(),
             self.config(),
         ))
@@ -344,10 +320,15 @@ impl LifecycleStudy {
         let site = self.datacenter_site("datacenter")?;
         Ok(LifecycleSim::new(
             vec![site],
-            DiurnalSchedule::office_day(self.base_qps),
+            self.schedule(),
             RoutingPolicy::Static,
             self.config(),
         ))
+    }
+
+    /// The diurnal demand every deployment of the study serves.
+    pub(crate) fn schedule(&self) -> DiurnalSchedule {
+        DiurnalSchedule::office_day(self.base_qps)
     }
 
     /// Runs both deployments over the same multi-year demand and seeds.

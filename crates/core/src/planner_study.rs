@@ -17,29 +17,21 @@
 //! hand-built candidate through the same evaluator and cache at the
 //! same final fidelity to report the comparison.
 
-use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
-use junkyard_devices::catalog::{self, C5Size};
+use junkyard_carbon::units::TimeSpan;
+use junkyard_devices::catalog;
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::schedule::DiurnalSchedule;
 use junkyard_fleet::site::GridRegion;
-use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
 use junkyard_microsim::network::NetworkModel;
 use junkyard_planner::{
     evaluate_batch, search, CandidateDeployment, CohortOption, EvalCache, Fidelity, FleetEvaluator,
-    LeasedBlueprint, PlannedDeployment, PlannerSpace, SearchConfig, SearchOutcome, Slo,
+    PlannedDeployment, PlannerSpace, SearchConfig, SearchOutcome, Slo,
 };
 
-use crate::deployments::{build_deployment, DeploymentError, DeploymentKind};
+use crate::deployments::{DeploymentError, FAN_EMBODIED, FAN_POWER};
 use crate::lifecycle_study::LifecycleStudy;
 use crate::report::Table;
-
-/// Embodied carbon of each cloudlet's server fan, kgCO2e (Section 5.2).
-const FAN_EMBODIED_KG: f64 = 9.3;
-/// Always-on per-cloudlet overhead draw (fan), watts.
-const FAN_WATTS: f64 = 4.0;
-/// Flat carbon intensity of the datacenter's gas-heavy grid, gCO2e/kWh.
-const DATACENTER_GRID_G_PER_KWH: f64 = 420.0;
 /// Assumed cloudlet service lifetime the install embodied carbon is
 /// amortised over when scoring candidates — the lifecycle study's quick
 /// horizon, so a planner score estimates that study's lifetime-amortised
@@ -199,7 +191,8 @@ impl PlannerStudy {
     }
 
     /// A [`LifecycleStudy`] carrying the same seed and trace fidelity,
-    /// used to derive the shared two-region traces.
+    /// used to derive the shared two-region traces and the leased
+    /// c5.9xlarge site.
     fn lifecycle_twin(&self) -> LifecycleStudy {
         // The lifecycle study's quick/paper split matches ours on trace
         // fidelity; only the seed needs forwarding.
@@ -217,29 +210,10 @@ impl PlannerStudy {
     ///
     /// # Errors
     ///
-    /// Returns [`DeploymentError`] if the c5.9xlarge blueprint cannot be
-    /// assembled.
+    /// Returns [`DeploymentError`] if the lifecycle study's c5.9xlarge
+    /// site cannot be assembled.
     pub fn evaluator(&self) -> Result<FleetEvaluator, DeploymentError> {
-        let app = social_network();
-        let c5_sim = build_deployment(DeploymentKind::C5(C5Size::XLarge9), &app, 11)?;
-        let c5 = catalog::c5_instance(C5Size::XLarge9);
-        let gas_heavy = GridRegion::new(
-            "gas-heavy",
-            IntensityTrace::constant(
-                CarbonIntensity::from_grams_per_kwh(DATACENTER_GRID_G_PER_KWH),
-                TimeSpan::from_hours(1.0),
-                TimeSpan::from_days(1.0),
-            ),
-        );
-        let leased = LeasedBlueprint::new(
-            "leased-c5",
-            c5_sim,
-            gas_heavy,
-            crate::cloudlet_study::CloudletWorkload::SocialNetworkWrite.paper_c5_9xlarge_qps(),
-        )
-        .power(Watts::new(120.0), Watts::new(90.0))
-        .embodied(c5.embodied(), TimeSpan::from_years(4.0));
-
+        let leased = self.lifecycle_twin().datacenter_site("leased-c5")?;
         Ok(FleetEvaluator::new(
             self.space(),
             social_network(),
@@ -248,11 +222,8 @@ impl PlannerStudy {
             self.seed,
         )
         .request_type(SN_COMPOSE_POST)
-        .leased(leased)
-        .site_overhead(
-            Watts::new(FAN_WATTS),
-            GramsCo2e::from_kilograms(FAN_EMBODIED_KG),
-        )
+        .leased(leased)?
+        .site_overhead(FAN_POWER, FAN_EMBODIED)
         .failures(self.mean_days_between_failures)
         .amortize_install(TimeSpan::from_years(SERVICE_LIFETIME_YEARS))
         .with_saturation_screen())

@@ -24,9 +24,8 @@
 //! the gCO2e/request price of each additional nine is explicit.
 
 use junkyard_fleet::faults::{DegradationLadder, FaultConfig, ResiliencePolicy, RetryPolicy};
-use junkyard_fleet::lifecycle::{LifecycleConfig, LifecycleResult, LifecycleSim};
+use junkyard_fleet::lifecycle::{LifecycleResult, LifecycleSim};
 use junkyard_fleet::routing::RoutingPolicy;
-use junkyard_fleet::schedule::DiurnalSchedule;
 
 use crate::deployments::DeploymentError;
 use crate::lifecycle_study::LifecycleStudy;
@@ -43,17 +42,14 @@ pub fn availability_nines(availability: f64) -> f64 {
     }
 }
 
-/// Configuration of the fault-injection resilience study.
+/// Configuration of the fault-injection resilience study. The demand,
+/// seed, routing windows, slice and worker cap are the inner
+/// [`LifecycleStudy`]'s own; this study adds the horizon, the fault plan
+/// and the strategies.
 #[derive(Debug, Clone)]
 pub struct ResilienceStudy {
     study: LifecycleStudy,
     horizon_days: usize,
-    windows_per_day: usize,
-    sim_slice_s: f64,
-    warmup_s: f64,
-    seed: u64,
-    base_qps: f64,
-    parallelism: Option<usize>,
     outage_mean_days: f64,
     outage_windows: usize,
     firmware_mean_days: f64,
@@ -78,12 +74,6 @@ impl ResilienceStudy {
         Self {
             study: LifecycleStudy::paper_scale(),
             horizon_days: 365,
-            windows_per_day: 24,
-            sim_slice_s: 2.0,
-            warmup_s: 1.0,
-            seed: 42,
-            base_qps: 1_600.0,
-            parallelism: None,
             outage_mean_days: 30.0,
             outage_windows: 12,
             firmware_mean_days: 45.0,
@@ -107,12 +97,6 @@ impl ResilienceStudy {
         Self {
             study: LifecycleStudy::quick(),
             horizon_days: 56,
-            windows_per_day: 4,
-            sim_slice_s: 1.0,
-            warmup_s: 1.0,
-            seed: 42,
-            base_qps: 1_600.0,
-            parallelism: None,
             outage_mean_days: 14.0,
             outage_windows: 4,
             firmware_mean_days: 18.0,
@@ -147,8 +131,7 @@ impl ResilienceStudy {
     /// Panics if the rate is negative.
     #[must_use]
     pub fn base_qps(mut self, qps: f64) -> Self {
-        assert!(qps >= 0.0, "offered load cannot be negative");
-        self.base_qps = qps;
+        self.study = self.study.base_qps(qps);
         self
     }
 
@@ -156,7 +139,6 @@ impl ResilienceStudy {
     /// plan all derive from it deterministically).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self.study = self.study.seed(seed);
         self
     }
@@ -168,8 +150,7 @@ impl ResilienceStudy {
     /// Panics if zero.
     #[must_use]
     pub fn parallelism(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "the study needs at least one worker");
-        self.parallelism = Some(workers);
+        self.study = self.study.parallelism(workers);
         self
     }
 
@@ -180,11 +161,7 @@ impl ResilienceStudy {
     /// Panics if zero.
     #[must_use]
     pub fn windows_per_day(mut self, windows_per_day: usize) -> Self {
-        assert!(
-            windows_per_day > 0,
-            "the study needs at least one window per day"
-        );
-        self.windows_per_day = windows_per_day;
+        self.study = self.study.windows_per_day(windows_per_day);
         self
     }
 
@@ -199,19 +176,6 @@ impl ResilienceStudy {
                 self.firmware_windows,
             )
             .thermal_shutdowns(self.thermal_mean_days, self.thermal_windows)
-    }
-
-    fn config(&self) -> LifecycleConfig {
-        let mut config = LifecycleConfig::new(1)
-            .horizon_days(self.horizon_days)
-            .windows_per_day(self.windows_per_day)
-            .sim_slice_s(self.sim_slice_s)
-            .warmup_s(self.warmup_s)
-            .seed(self.seed);
-        if let Some(workers) = self.parallelism {
-            config = config.parallelism(workers);
-        }
-        config
     }
 
     /// The two-cloudlet fleet (plus an optional datacenter standby as the
@@ -235,9 +199,9 @@ impl ResilienceStudy {
         }
         let mut sim = LifecycleSim::new(
             sites,
-            DiurnalSchedule::office_day(self.base_qps),
+            self.study.schedule(),
             RoutingPolicy::carbon_aware(),
-            self.config(),
+            self.study.config().horizon_days(self.horizon_days),
         );
         if let Some(faults) = faults {
             sim = sim.with_faults(faults);

@@ -33,13 +33,9 @@ pub type FleetConfig = RunConfig<()>;
 /// multi-year [`Horizon`].
 pub type LifecycleConfig = RunConfig<Horizon>;
 
-/// The simulated span of a lifecycle run: whole years, optionally
-/// capped to an exact number of days.
+/// The simulated span of a lifecycle run, in whole days.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Horizon {
-    years: usize,
-    days: Option<usize>,
-}
+pub struct Horizon(usize);
 
 impl<H> RunConfig<H> {
     /// The shared defaults (1-second warm-up, seed 42, machine
@@ -158,7 +154,7 @@ impl RunConfig<Horizon> {
     #[must_use]
     pub fn new(years: usize) -> Self {
         assert!(years > 0, "the lifecycle needs at least one year");
-        Self::with_horizon(Horizon { years, days: None }, 6, 1.0)
+        Self::with_horizon(Horizon(years * DAYS_PER_YEAR), 6, 1.0)
     }
 
     /// Overrides the horizon with an exact number of days instead of whole
@@ -173,22 +169,13 @@ impl RunConfig<Horizon> {
     #[must_use]
     pub fn horizon_days(mut self, days: usize) -> Self {
         assert!(days > 0, "the lifecycle needs at least one day");
-        self.horizon.days = Some(days);
+        self.horizon = Horizon(days);
         self
     }
 
-    /// Simulated years.
-    #[must_use]
-    pub fn years(&self) -> usize {
-        self.horizon.years
-    }
-
-    /// Simulated days of the horizon: the explicit day override when set,
-    /// otherwise `years * 365`.
+    /// Simulated days of the horizon.
     #[must_use]
     pub fn total_days(&self) -> usize {
-        self.horizon
-            .days
-            .unwrap_or(self.horizon.years * DAYS_PER_YEAR)
+        self.horizon.0
     }
 }

@@ -41,8 +41,11 @@ use junkyard_battery::sim::simulate_day;
 use junkyard_battery::state::BatteryState;
 use junkyard_battery::trace_ext::DayStats;
 use junkyard_carbon::convert::{count_f64, counts_ratio, index_u64, unit_draw};
-use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Millis, TimeSpan, Watts};
+use junkyard_carbon::units::{CarbonIntensity, GramsCo2e, Millis, Qps, TimeSpan, Watts};
 use junkyard_devices::battery::BatterySpec;
+use junkyard_devices::components::ComponentBreakdown;
+use junkyard_devices::device::DeviceSpec;
+use junkyard_devices::power::LoadProfile;
 use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::compiled::CompiledSim;
 use junkyard_microsim::sim::{SimError, Simulation};
@@ -55,7 +58,7 @@ use crate::faults::{
 };
 use crate::routing::{plan_window_inputs, RoutingPolicy, SiteWindowInput, WindowAssignment};
 use crate::schedule::{DiurnalSchedule, LoadWindow};
-use crate::site::GridRegion;
+use crate::site::{second_life_embodied, GridRegion};
 use crate::{measure_slice, SliceMeasure};
 
 /// Days per simulated year (the lifecycle steps whole days; leap days are
@@ -139,6 +142,33 @@ impl CohortDevice {
             idle_power: Watts::ZERO,
             dynamic_power: Watts::ZERO,
         }
+    }
+
+    /// The slot a catalog phone fills: its Reuse-Factor replacement share
+    /// as a compute node (Eq. 8), light-medium serving power and measured
+    /// idle/full-load power curve. `capacity` must be strictly positive,
+    /// as [`CohortDevice::new`] asserts.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SiteConfigError`] if the model carries no battery or no
+    /// component breakdown (a catalog server, say).
+    pub fn from_spec(device: &DeviceSpec, capacity: Qps) -> Result<Self, SiteConfigError> {
+        let missing = |what| SiteConfigError::new(format!("{} carries no {what}", device.name()));
+        let battery = device.battery().ok_or_else(|| missing("battery"))?;
+        let components = device
+            .components()
+            .ok_or_else(|| missing("component breakdown"))?;
+        let reuse = components.reuse_factor(&ComponentBreakdown::compute_node_role());
+        let curve = device.power();
+        Ok(Self::new(
+            device.name(),
+            device.average_power(&LoadProfile::light_medium()),
+            battery,
+            second_life_embodied(device.embodied(), &reuse),
+            capacity.per_second(),
+        )
+        .power(curve.idle(), curve.at_full_load() - curve.idle()))
     }
 
     /// Sets the slot's electrical power model: `idle` always drawn while
@@ -256,9 +286,8 @@ impl LifecycleSite {
         })
     }
 
-    /// Creates a leased site (the datacenter backend): fixed
-    /// `capacity_qps`, no power draw and no embodied carbon until the
-    /// builders set them.
+    /// Creates a leased site (the datacenter backend): fixed `capacity`,
+    /// no power draw and no embodied carbon until the builders set them.
     ///
     /// # Errors
     ///
@@ -270,8 +299,9 @@ impl LifecycleSite {
         name: impl Into<String>,
         sim: &Simulation,
         region: GridRegion,
-        capacity_qps: f64,
+        capacity: Qps,
     ) -> Result<Self, SiteConfigError> {
+        let capacity_qps = capacity.per_second();
         if !(capacity_qps > 0.0 && capacity_qps.is_finite()) {
             return Err(SiteConfigError::new(format!(
                 "site capacity must be positive and finite, got {capacity_qps}"
@@ -441,6 +471,42 @@ impl LifecycleSite {
         self
     }
 
+    /// A `share` of this leased site: capacity, idle and dynamic power
+    /// and the embodied bill scale with it, while the serving simulation
+    /// and the amortisation lifetime stay the same.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SiteConfigError`] on a cohort site (its capacity comes
+    /// from device slots) or if `share` is not strictly positive and
+    /// finite.
+    pub fn leased_share(&self, share: f64) -> Result<Self, SiteConfigError> {
+        let mut site = self.clone();
+        let Backend::Leased {
+            capacity_qps,
+            idle_power,
+            dynamic_power,
+            embodied,
+            ..
+        } = &mut site.backend
+        else {
+            return Err(SiteConfigError::new(format!(
+                "site '{}' is a cohort site: only a leased site can be rented by share",
+                self.name
+            )));
+        };
+        if !(share > 0.0 && share.is_finite()) {
+            return Err(SiteConfigError::new(format!(
+                "a leased share must be positive and finite, got {share}"
+            )));
+        }
+        *capacity_qps *= share;
+        *idle_power = *idle_power * share;
+        *dynamic_power = *dynamic_power * share;
+        *embodied = *embodied * share;
+        Ok(site)
+    }
+
     /// Site name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -451,6 +517,12 @@ impl LifecycleSite {
     #[must_use]
     pub fn region(&self) -> &GridRegion {
         &self.region
+    }
+
+    /// The site's compiled serving simulation.
+    #[must_use]
+    pub fn sim(&self) -> &CompiledSim {
+        &self.sim
     }
 
     /// Serving capacity with every device alive, requests/second.
@@ -1965,13 +2037,18 @@ mod tests {
     }
 
     fn leased_site(capacity: f64) -> LifecycleSite {
-        LifecycleSite::try_leased("datacenter", &tiny_sim(), flat_region(420.0), capacity)
-            .unwrap()
-            .power(Watts::new(120.0), Watts::new(90.0))
-            .embodied(
-                GramsCo2e::from_kilograms(1_344.0),
-                TimeSpan::from_years(4.0),
-            )
+        LifecycleSite::try_leased(
+            "datacenter",
+            &tiny_sim(),
+            flat_region(420.0),
+            Qps::from_per_second(capacity),
+        )
+        .unwrap()
+        .power(Watts::new(120.0), Watts::new(90.0))
+        .embodied(
+            GramsCo2e::from_kilograms(1_344.0),
+            TimeSpan::from_years(4.0),
+        )
     }
 
     fn quick_config(years: usize) -> LifecycleConfig {
@@ -2380,5 +2457,50 @@ mod tests {
         for workers in [2, 5] {
             assert_eq!(serial, build(workers).run().unwrap(), "workers {workers}");
         }
+    }
+
+    #[test]
+    fn from_spec_builds_catalog_phones_and_rejects_servers() {
+        use junkyard_devices::catalog::{self, C5Size};
+        let capacity = Qps::from_per_second(300.0);
+        for phone in [catalog::pixel_3a(), catalog::nexus_4()] {
+            let slot = CohortDevice::from_spec(&phone, capacity).unwrap();
+            assert_eq!(slot.model(), phone.name());
+            assert_eq!(slot.capacity_qps(), 300.0);
+            assert!(slot.replacement_embodied() > GramsCo2e::ZERO);
+            assert!(slot.replacement_embodied() < phone.embodied());
+        }
+        // A datacenter instance has no battery: a typed error, no panic.
+        let c5 = catalog::c5_instance(C5Size::XLarge9);
+        let error = CohortDevice::from_spec(&c5, capacity).unwrap_err();
+        assert!(error.message().contains("battery"), "{error}");
+    }
+
+    #[test]
+    fn leased_share_scales_capacity_and_rejects_bad_shares() {
+        let site = leased_site(500.0);
+        let half = site.leased_share(0.5).unwrap();
+        assert_eq!(half.full_capacity_qps(), 250.0);
+        assert_eq!(half.name(), site.name());
+        for share in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(site.leased_share(share).is_err(), "share {share}");
+        }
+        assert!(cohort_site(1, 2).leased_share(0.5).is_err());
+    }
+
+    #[test]
+    fn full_leased_share_runs_bit_identical_to_the_site() {
+        let run = |site: LifecycleSite| {
+            LifecycleSim::new(
+                vec![site],
+                DiurnalSchedule::flat(100.0),
+                RoutingPolicy::Static,
+                quick_config(1).horizon_days(20),
+            )
+            .run()
+            .unwrap()
+        };
+        let site = leased_site(500.0);
+        assert_eq!(run(site.leased_share(1.0).unwrap()), run(site));
     }
 }

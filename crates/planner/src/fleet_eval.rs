@@ -12,14 +12,14 @@
 //! ceiling allows — all before any lifecycle run is paid.
 
 use junkyard_battery::charging::SmartChargePolicy;
-use junkyard_carbon::units::{GramsCo2e, TimeSpan, Watts};
-use junkyard_devices::components::ComponentBreakdown;
-use junkyard_devices::device::DeviceSpec;
-use junkyard_devices::power::LoadProfile;
-use junkyard_fleet::lifecycle::{CohortDevice, LifecycleConfig, LifecycleSim, LifecycleSite};
+use junkyard_carbon::units::{GramsCo2e, Qps, TimeSpan, Watts};
+use junkyard_fleet::lifecycle::{
+    CohortDevice, LifecycleConfig, LifecycleSim, LifecycleSite, SiteConfigError,
+};
 use junkyard_fleet::schedule::DiurnalSchedule;
-use junkyard_fleet::site::{second_life_embodied, GridRegion};
+use junkyard_fleet::site::GridRegion;
 use junkyard_microsim::app::Application;
+use junkyard_microsim::compiled::CompiledSim;
 use junkyard_microsim::network::NetworkModel;
 use junkyard_microsim::node::NodeSpec;
 use junkyard_microsim::placement::Placement;
@@ -37,78 +37,6 @@ const CHARGE_HEADROOM: f64 = 1.25;
 
 /// Load fractions of nominal capacity the saturation screen sweeps.
 const SCREEN_FRACTIONS: [f64; 3] = [0.6, 0.8, 1.0];
-
-/// The leased (rented datacenter) backend a candidate may blend in. A
-/// candidate's fallback share scales capacity, power and the amortised
-/// embodied bill proportionally — renting half an instance costs half
-/// its footprint.
-#[derive(Debug, Clone)]
-pub struct LeasedBlueprint {
-    name: String,
-    sim: Simulation,
-    region: GridRegion,
-    capacity_qps: f64,
-    idle_power: Watts,
-    dynamic_power: Watts,
-    embodied: GramsCo2e,
-    amortization: TimeSpan,
-}
-
-impl LeasedBlueprint {
-    /// Creates a blueprint serving `sim` from `region` at full share
-    /// capacity `capacity_qps`, with no power draw or embodied carbon
-    /// until the builders set them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is not strictly positive.
-    #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        sim: Simulation,
-        region: GridRegion,
-        capacity_qps: f64,
-    ) -> Self {
-        assert!(capacity_qps > 0.0, "leased capacity must be positive");
-        Self {
-            name: name.into(),
-            sim,
-            region,
-            capacity_qps,
-            idle_power: Watts::ZERO,
-            dynamic_power: Watts::ZERO,
-            embodied: GramsCo2e::ZERO,
-            amortization: TimeSpan::from_years(4.0),
-        }
-    }
-
-    /// Sets the full-share power model.
-    #[must_use]
-    pub fn power(mut self, idle: Watts, dynamic: Watts) -> Self {
-        self.idle_power = idle;
-        self.dynamic_power = dynamic;
-        self
-    }
-
-    /// Sets the full-share embodied carbon and its lease amortisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lifetime is not strictly positive.
-    #[must_use]
-    pub fn embodied(mut self, total: GramsCo2e, lifetime: TimeSpan) -> Self {
-        assert!(lifetime.seconds() > 0.0, "amortisation must be positive");
-        self.embodied = total;
-        self.amortization = lifetime;
-        self
-    }
-
-    /// Full-share serving capacity, requests/second.
-    #[must_use]
-    pub fn capacity_qps(&self) -> f64 {
-        self.capacity_qps
-    }
-}
 
 /// Seed of the swarm-spread placement shuffle every cohort simulation
 /// is built with.
@@ -133,7 +61,8 @@ pub struct FleetEvaluator {
     network: NetworkModel,
     request_type: Option<String>,
     schedule: DiurnalSchedule,
-    leased: Option<LeasedBlueprint>,
+    /// The leased site at full share; candidates rent a share of it.
+    leased: Option<LifecycleSite>,
     site_overhead_power: Watts,
     site_overhead_embodied: GramsCo2e,
     mtbf_days: f64,
@@ -215,12 +144,19 @@ impl FleetEvaluator {
         self
     }
 
-    /// Registers the leased datacenter blueprint candidates may blend
-    /// in via their fallback share.
-    #[must_use]
-    pub fn leased(mut self, blueprint: LeasedBlueprint) -> Self {
-        self.leased = Some(blueprint);
-        self
+    /// Registers the leased datacenter site candidates may blend in via
+    /// their fallback share: a share `s` rents
+    /// [`LifecycleSite::leased_share`]`(s)` of it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SiteConfigError`] if `site` is a cohort site, whose
+    /// capacity no fallback share can scale.
+    pub fn leased(mut self, site: LifecycleSite) -> Result<Self, SiteConfigError> {
+        // The full share is the site itself, bit for bit; taking it
+        // rejects a cohort site here rather than at every evaluation.
+        self.leased = Some(site.leased_share(1.0)?);
+        Ok(self)
     }
 
     /// Sets the per-cloudlet overhead: an always-on draw (server fan,
@@ -277,7 +213,7 @@ impl FleetEvaluator {
     }
 
     /// Runs the saturation screen: every cohort option (and the leased
-    /// blueprint) is swept once at a few fractions of its nominal
+    /// site) is swept once at a few fractions of its nominal
     /// capacity, so [`Evaluator::sustainable_capacity_qps`] can prune
     /// undersized candidates without a lifecycle run. The sweeps are
     /// serial and seeded, so screening is deterministic.
@@ -295,16 +231,16 @@ impl FleetEvaluator {
                     _ => return None,
                 };
                 Some(self.sweep(
-                    sim,
+                    &sim.compile(),
                     option.capacity_qps(),
                     decorrelate_seed(screen_seed, index as u64 + 1),
                 ))
             })
             .collect();
-        self.leased_curve = self.leased.as_ref().map(|blueprint| {
+        self.leased_curve = self.leased.as_ref().map(|site| {
             self.sweep(
-                &blueprint.sim,
-                blueprint.capacity_qps,
+                site.sim(),
+                site.full_capacity_qps(),
                 decorrelate_seed(screen_seed, 0x1ea5ed),
             )
         });
@@ -318,7 +254,7 @@ impl FleetEvaluator {
     }
 
     /// Sweeps a site simulation at the screen's capacity fractions.
-    fn sweep(&self, sim: &Simulation, capacity_qps: f64, seed: u64) -> LatencyCurve {
+    fn sweep(&self, sim: &CompiledSim, capacity_qps: f64, seed: u64) -> LatencyCurve {
         let points: Vec<f64> = SCREEN_FRACTIONS.iter().map(|f| f * capacity_qps).collect();
         let mut config = SweepConfig::new(points, 2.0, 0.5)
             .seed(seed)
@@ -328,7 +264,7 @@ impl FleetEvaluator {
             config = config.request_type(request_type.clone());
         }
         config
-            .run("screen", sim)
+            .run_compiled("screen", sim)
             .expect("screen sweeps use the evaluator's own request type")
     }
 
@@ -350,27 +286,6 @@ impl FleetEvaluator {
             .map_err(|e| EvalError::Build(format!("{}: {e}", option.label())))
     }
 
-    /// Builds one cohort device slot from a catalog model.
-    fn cohort_slot(device: &DeviceSpec, capacity_qps: f64) -> Result<CohortDevice, EvalError> {
-        let battery = device
-            .battery()
-            .ok_or_else(|| EvalError::Build(format!("{} carries no battery", device.name())))?;
-        let components = device.components().ok_or_else(|| {
-            EvalError::Build(format!("{} carries no component breakdown", device.name()))
-        })?;
-        let reuse = components.reuse_factor(&ComponentBreakdown::compute_node_role());
-        let replacement = second_life_embodied(device.embodied(), &reuse);
-        let curve = device.power();
-        Ok(CohortDevice::new(
-            device.name(),
-            device.average_power(&LoadProfile::light_medium()),
-            battery,
-            replacement,
-            capacity_qps,
-        )
-        .power(curve.idle(), curve.at_full_load() - curve.idle()))
-    }
-
     /// Builds one cohort lifecycle site for a candidate's region choice.
     fn build_cohort_site(
         &self,
@@ -384,7 +299,10 @@ impl FleetEvaluator {
         let mut devices = Vec::with_capacity(option.device_count());
         for (device, qps, count) in option.slots() {
             for _ in 0..*count {
-                devices.push(Self::cohort_slot(device, *qps)?);
+                devices.push(
+                    CohortDevice::from_spec(device, Qps::from_per_second(*qps))
+                        .map_err(|e| EvalError::Build(e.to_string()))?,
+                );
             }
         }
         let mut install: GramsCo2e = devices
@@ -415,23 +333,16 @@ impl FleetEvaluator {
 
     /// Builds the scaled leased site for a candidate's fallback share.
     fn build_leased_site(&self, share: f64) -> Result<LifecycleSite, EvalError> {
-        let blueprint = self.leased.as_ref().ok_or_else(|| {
-            EvalError::Build(
-                "candidate wants a leased fallback but no blueprint is registered".to_owned(),
-            )
-        })?;
-        let mut site = LifecycleSite::try_leased(
-            blueprint.name.clone(),
-            &blueprint.sim,
-            blueprint.region.clone(),
-            blueprint.capacity_qps * share,
-        )
-        .map_err(|e| EvalError::Build(e.to_string()))?
-        .power(
-            blueprint.idle_power * share,
-            blueprint.dynamic_power * share,
-        )
-        .embodied(blueprint.embodied * share, blueprint.amortization);
+        let mut site = self
+            .leased
+            .as_ref()
+            .ok_or_else(|| {
+                EvalError::Build(
+                    "candidate wants a leased fallback but no leased site is registered".to_owned(),
+                )
+            })?
+            .leased_share(share)
+            .map_err(|e| EvalError::Build(e.to_string()))?;
         if let Some(request_type) = &self.request_type {
             site = site.request_type(request_type.clone());
         }
@@ -518,16 +429,16 @@ impl Evaluator for FleetEvaluator {
         }
         let share = self.space.fallback_share_of(candidate);
         if share > 0.0 {
-            if let (Some(blueprint), Some(curve)) = (&self.leased, &self.leased_curve) {
+            if let (Some(site), Some(curve)) = (&self.leased, &self.leased_curve) {
                 let knee = curve
                     .max_sustainable_qps(slo.median_limit_ms(), slo.tail_limit_ms())
                     .unwrap_or(0.0);
-                // The scaled site keeps the full blueprint simulation —
+                // The scaled site keeps the full site's simulation —
                 // only the router's capacity cap shrinks with the share —
                 // so its sustainable load is min(knee, share × capacity).
                 // Scaling the knee itself would understate it and could
                 // prune feasible candidates.
-                sustainable += knee.min(share * blueprint.capacity_qps);
+                sustainable += knee.min(share * site.full_capacity_qps());
             }
         }
         Some(sustainable)
@@ -628,6 +539,21 @@ mod tests {
     }
 
     #[test]
+    fn registering_a_cohort_site_as_the_lease_is_an_error() {
+        let pixel = junkyard_devices::catalog::pixel_3a();
+        let slot = CohortDevice::from_spec(&pixel, Qps::from_per_second(300.0)).unwrap();
+        let cohort = LifecycleSite::try_cohort(
+            "cloudlet",
+            evaluator().cohort_sim(1).unwrap(),
+            flat_region("west", 120.0),
+            vec![slot],
+            GramsCo2e::ZERO,
+        )
+        .unwrap();
+        assert!(evaluator().leased(cohort).is_err());
+    }
+
+    #[test]
     fn saturation_screen_prunes_undersized_candidates() {
         let evaluator = evaluator().with_saturation_screen();
         let slo = Slo::paper_default();
@@ -661,7 +587,7 @@ mod tests {
 
     #[test]
     fn leased_screen_caps_at_share_capacity_not_scaled_knee() {
-        // A leased blueprint whose declared capacity is far beyond the
+        // A leased site whose declared capacity is far beyond the
         // simulation's latency knee: the scaled site keeps the full sim,
         // so any share with share x capacity >= knee sustains the whole
         // knee. The old `share x knee` formula halved it.
@@ -681,12 +607,16 @@ mod tests {
             DiurnalSchedule::office_day(700.0),
             7,
         )
-        .leased(LeasedBlueprint::new(
-            "oversized-lease",
-            leased_sim,
-            flat_region("gas", 420.0),
-            1_000.0,
-        ))
+        .leased(
+            LifecycleSite::try_leased(
+                "oversized-lease",
+                &leased_sim,
+                flat_region("gas", 420.0),
+                Qps::from_per_second(1_000.0),
+            )
+            .unwrap(),
+        )
+        .unwrap()
         .with_saturation_screen();
         let slo = Slo::paper_default();
         let leased_only =

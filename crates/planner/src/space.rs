@@ -182,7 +182,7 @@ impl PlannerSpace {
     }
 
     /// Overrides the leased-fallback share options: the fraction of the
-    /// leased blueprint's capacity rented alongside the cloudlets.
+    /// leased site's capacity rented alongside the cloudlets.
     ///
     /// # Panics
     ///

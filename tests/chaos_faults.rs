@@ -18,7 +18,7 @@
 //! The vendored proptest seeds its RNG from the test name, so this is a
 //! fixed-seed suite: every CI run exercises the same fault plans.
 
-use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
+use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, Qps, TimeSpan, Watts};
 use junkyard::devices::battery::BatterySpec;
 use junkyard::fleet::faults::{
     DegradationLadder, FaultConfig, FaultPlan, ResiliencePolicy, RetryPolicy,
@@ -83,7 +83,7 @@ fn leased_site(capacity: f64) -> LifecycleSite {
         "datacenter",
         &tiny_sim(),
         GridRegion::new("gas", trace),
-        capacity,
+        Qps::from_per_second(capacity),
     )
     .unwrap()
     .power(Watts::new(50.0), Watts::new(40.0))

@@ -9,7 +9,7 @@
 //! `FleetResult` or `LifecycleResult` and not pinned here (or in another
 //! test under `tests/`), `cargo run -p junkyard_lint` fails.
 
-use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
+use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, Qps, TimeSpan, Watts};
 use junkyard::devices::battery::BatterySpec;
 use junkyard::fleet::faults::{DegradationLadder, FaultConfig, ResiliencePolicy, RetryPolicy};
 use junkyard::fleet::lifecycle::{
@@ -165,7 +165,7 @@ fn lifecycle_result_conserved_buckets_pin_the_identity() {
         "datacenter",
         &tiny_sim(),
         GridRegion::new("gas", flat),
-        400.0,
+        Qps::from_per_second(400.0),
     )
     .unwrap()
     .power(Watts::new(50.0), Watts::new(40.0))

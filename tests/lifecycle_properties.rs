@@ -4,7 +4,7 @@
 //! any worker count.
 
 use junkyard::battery::state::BatteryState;
-use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
+use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, Qps, TimeSpan, Watts};
 use junkyard::devices::battery::BatterySpec;
 use junkyard::fleet::lifecycle::{
     CohortDevice, LifecycleConfig, LifecycleSim, LifecycleSite, DAYS_PER_YEAR,
@@ -68,7 +68,7 @@ fn leased_site(capacity: f64) -> LifecycleSite {
         "datacenter",
         &tiny_sim(),
         GridRegion::new("gas", trace),
-        capacity,
+        Qps::from_per_second(capacity),
     )
     .unwrap()
     .power(Watts::new(50.0), Watts::new(40.0))

@@ -9,7 +9,7 @@
 //! a scaled idle-power term — fails loudly rather than drifting the
 //! paper's numbers.
 
-use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, TimeSpan, Watts};
+use junkyard::carbon::units::{CarbonIntensity, GramsCo2e, Qps, TimeSpan, Watts};
 use junkyard::devices::battery::BatterySpec;
 use junkyard::fleet::lifecycle::{
     CohortDevice, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite,
@@ -73,10 +73,15 @@ fn cohort_site() -> LifecycleSite {
 }
 
 fn leased_site() -> LifecycleSite {
-    LifecycleSite::try_leased("datacenter", &tiny_sim(), flat_region(420.0), 300.0)
-        .unwrap()
-        .power(Watts::new(50.0), Watts::new(40.0))
-        .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0))
+    LifecycleSite::try_leased(
+        "datacenter",
+        &tiny_sim(),
+        flat_region(420.0),
+        Qps::from_per_second(300.0),
+    )
+    .unwrap()
+    .power(Watts::new(50.0), Watts::new(40.0))
+    .embodied(GramsCo2e::from_kilograms(500.0), TimeSpan::from_years(4.0))
 }
 
 /// The pinned fault-free lifecycle scenario: a two-phone cohort plus a
