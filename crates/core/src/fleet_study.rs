@@ -402,6 +402,39 @@ mod tests {
         }
     }
 
+    /// `(total requests, total gCO2e, gCO2e/request)` as bit patterns.
+    fn total_bits(result: &FleetResult) -> [u64; 3] {
+        [
+            result.total_requests().to_bits(),
+            result.total_carbon().grams().to_bits(),
+            result.grams_per_request().unwrap().to_bits(),
+        ]
+    }
+
+    #[test]
+    fn quick_study_totals_are_pinned_bit_for_bit() {
+        // The fleet study writes no JSON golden, so its quick-scale
+        // totals are pinned here: a refactor of the study's config or
+        // sites must leave every bit of both policies' results in place.
+        let result = FleetStudy::quick().run().unwrap();
+        assert_eq!(
+            total_bits(result.baseline()),
+            [
+                0x41ae_b16c_0000_0000,
+                0x40a4_ee1b_a8a2_2581,
+                0x3ee5_d243_3277_b029
+            ]
+        );
+        assert_eq!(
+            total_bits(result.carbon_aware()),
+            [
+                0x41ae_b16c_0000_0000,
+                0x40a3_4d18_8541_a532,
+                0x3ee4_1f7e_4d2f_6905
+            ]
+        );
+    }
+
     #[test]
     fn phone_sites_carry_embodied_and_smart_charging() {
         let study = FleetStudy::quick();

@@ -498,6 +498,8 @@ impl ResilienceStudyResult {
 
 #[cfg(test)]
 mod tests {
+    use junkyard_fleet::lifecycle::LifecycleConfig;
+
     use super::*;
 
     fn tiny_study() -> ResilienceStudy {
@@ -548,6 +550,49 @@ mod tests {
             .is_some());
         assert_eq!(result.strategies().len(), 5);
         assert_eq!(result.summary_table().rows().len(), 5);
+    }
+
+    #[test]
+    fn engine_configs_are_pinned_at_both_scales() {
+        // The run, horizon and fault knobs each study feeds its engines,
+        // written out in full at both scales.
+        let quick_run = LifecycleConfig::new(5)
+            .windows_per_day(4)
+            .sim_slice_s(1.0)
+            .warmup_s(1.0)
+            .seed(42);
+        let paper_run = LifecycleConfig::new(10)
+            .windows_per_day(24)
+            .sim_slice_s(2.0)
+            .warmup_s(1.0)
+            .seed(42);
+        assert_eq!(LifecycleStudy::quick().config(), quick_run);
+        assert_eq!(LifecycleStudy::paper_scale().config(), paper_run);
+
+        let quick = ResilienceStudy::quick();
+        assert_eq!(
+            quick.fault_config(),
+            FaultConfig::disabled()
+                .grid_outages(14.0, 4)
+                .firmware_batches(18.0, 0.5, 8)
+                .thermal_shutdowns(21.0, 2)
+        );
+        assert_eq!(
+            *quick.mitigated_fleet().unwrap().config(),
+            quick_run.horizon_days(56)
+        );
+        let paper = ResilienceStudy::paper_scale();
+        assert_eq!(
+            paper.fault_config(),
+            FaultConfig::disabled()
+                .grid_outages(30.0, 12)
+                .firmware_batches(45.0, 0.4, 48)
+                .thermal_shutdowns(60.0, 6)
+        );
+        assert_eq!(
+            *paper.mitigated_fleet().unwrap().config(),
+            paper_run.horizon_days(365)
+        );
     }
 
     #[test]
