@@ -12,13 +12,13 @@
 //! embodied carbon into gCO2e per request.
 
 use junkyard_carbon::embodied::battery_replacement_carbon;
-use junkyard_carbon::units::{TimeSpan, Watts};
+use junkyard_carbon::units::{Qps, TimeSpan, Watts};
 use junkyard_devices::catalog;
-use junkyard_devices::components::ComponentBreakdown;
+use junkyard_fleet::lifecycle::CohortDevice;
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::schedule::DiurnalSchedule;
 use junkyard_fleet::sim::{FleetConfig, FleetResult, FleetSim};
-use junkyard_fleet::site::{second_life_embodied, smart_charging_scale, FleetSite, GridRegion};
+use junkyard_fleet::site::{smart_charging_scale, FleetSite, GridRegion};
 use junkyard_grid::synth::CaisoSynthesizer;
 use junkyard_grid::trace::IntensityTrace;
 use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
@@ -38,11 +38,7 @@ const PHONE_SERVING_WATTS: f64 = 1.7;
 pub struct FleetStudy {
     base_qps: f64,
     days: usize,
-    windows_per_day: usize,
-    sim_slice_s: f64,
-    warmup_s: f64,
-    seed: u64,
-    parallelism: Option<usize>,
+    config: FleetConfig,
 }
 
 impl FleetStudy {
@@ -53,11 +49,7 @@ impl FleetStudy {
         Self {
             base_qps: 4_000.0,
             days: 1,
-            windows_per_day: 24,
-            sim_slice_s: 4.0,
-            warmup_s: 1.0,
-            seed: 42,
-            parallelism: None,
+            config: FleetConfig::new().sim_slice_s(4.0),
         }
     }
 
@@ -68,11 +60,7 @@ impl FleetStudy {
         Self {
             base_qps: 4_000.0,
             days: 1,
-            windows_per_day: 6,
-            sim_slice_s: 1.0,
-            warmup_s: 1.0,
-            seed: 42,
-            parallelism: None,
+            config: FleetConfig::new().windows_per_day(6).sim_slice_s(1.0),
         }
     }
 
@@ -104,7 +92,7 @@ impl FleetStudy {
     /// deterministic per seed).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config = self.config.seed(seed);
         self
     }
 
@@ -115,8 +103,7 @@ impl FleetStudy {
     /// Panics if zero.
     #[must_use]
     pub fn parallelism(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "the study needs at least one worker");
-        self.parallelism = Some(workers);
+        self.config = self.config.parallelism(workers);
         self
     }
 
@@ -127,7 +114,7 @@ impl FleetStudy {
     pub fn two_region_traces(&self) -> (IntensityTrace, IntensityTrace) {
         // Smart charging needs at least one full previous day of history.
         let trace_days = self.days.max(2);
-        let west = CaisoSynthesizer::new(self.seed, trace_days).intensity_trace();
+        let west = CaisoSynthesizer::new(self.config.root_seed(), trace_days).intensity_trace();
         let east = antipodal_twin(&west);
         (west, east)
     }
@@ -151,17 +138,17 @@ impl FleetStudy {
         let app = social_network();
         let sim = build_deployment(DeploymentKind::PhoneCloudlet, &app, 11)?;
         let pixel = catalog::pixel_3a();
-        let battery = pixel.battery().expect("the Pixel has a battery");
+        let slot = CohortDevice::from_spec(
+            &pixel,
+            Qps::from_per_second(self.phone_capacity_qps() / 10.0),
+        )?;
+        let battery = slot.battery();
         let amortization = TimeSpan::from_years(3.0);
 
         // Embodied: the non-reused component share of ten phones (Reuse
         // Factor, Eq. 8), the new server fan, and the replacement battery
         // packs consumed over the amortisation lifetime (Eq. 10).
-        let reuse = pixel
-            .components()
-            .expect("the Pixel has a component breakdown")
-            .reuse_factor(&ComponentBreakdown::compute_node_role());
-        let per_phone = second_life_embodied(pixel.embodied(), &reuse);
+        let per_phone = slot.replacement_embodied();
         let replacements = battery_replacement_carbon(
             battery.embodied(),
             amortization,
@@ -230,15 +217,7 @@ impl FleetStudy {
             self.datacenter_site("datacenter")?,
         ];
         let schedule = DiurnalSchedule::office_day(self.base_qps).days(self.days);
-        let mut config = FleetConfig::new()
-            .windows_per_day(self.windows_per_day)
-            .sim_slice_s(self.sim_slice_s)
-            .warmup_s(self.warmup_s)
-            .seed(self.seed);
-        if let Some(workers) = self.parallelism {
-            config = config.parallelism(workers);
-        }
-        Ok(FleetSim::new(sites, schedule, policy, config))
+        Ok(FleetSim::new(sites, schedule, policy, self.config))
     }
 
     /// Runs the study: the static-placement baseline and the carbon-aware

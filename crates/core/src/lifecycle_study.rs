@@ -19,7 +19,7 @@
 use junkyard_carbon::units::{GramsCo2e, Qps, TimeSpan};
 use junkyard_devices::catalog;
 use junkyard_fleet::lifecycle::{
-    CohortDevice, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite,
+    CohortDevice, LifecycleConfig, LifecycleResult, LifecycleSim, LifecycleSite, DAYS_PER_YEAR,
 };
 use junkyard_fleet::routing::RoutingPolicy;
 use junkyard_fleet::schedule::DiurnalSchedule;
@@ -47,13 +47,8 @@ const NEXUSES_PER_SITE: usize = 4;
 /// Configuration of the cloudlet-versus-datacenter lifecycle study.
 #[derive(Debug, Clone)]
 pub struct LifecycleStudy {
-    years: usize,
+    config: LifecycleConfig,
     base_qps: f64,
-    windows_per_day: usize,
-    sim_slice_s: f64,
-    warmup_s: f64,
-    seed: u64,
-    parallelism: Option<usize>,
     trace_days: usize,
     trace_step: TimeSpan,
     mean_days_between_failures: f64,
@@ -69,13 +64,10 @@ impl LifecycleStudy {
     #[must_use]
     pub fn paper_scale() -> Self {
         Self {
-            years: 10,
+            config: LifecycleConfig::new(10)
+                .windows_per_day(24)
+                .sim_slice_s(2.0),
             base_qps: 1_600.0,
-            windows_per_day: 24,
-            sim_slice_s: 2.0,
-            warmup_s: 1.0,
-            seed: 42,
-            parallelism: None,
             trace_days: 30,
             trace_step: TimeSpan::from_minutes(5.0),
             mean_days_between_failures: 1_500.0,
@@ -89,13 +81,8 @@ impl LifecycleStudy {
     #[must_use]
     pub fn quick() -> Self {
         Self {
-            years: 5,
+            config: LifecycleConfig::new(5).windows_per_day(4).sim_slice_s(1.0),
             base_qps: 1_600.0,
-            windows_per_day: 4,
-            sim_slice_s: 1.0,
-            warmup_s: 1.0,
-            seed: 42,
-            parallelism: None,
             trace_days: 10,
             trace_step: TimeSpan::from_minutes(15.0),
             mean_days_between_failures: 1_500.0,
@@ -112,7 +99,7 @@ impl LifecycleStudy {
     #[must_use]
     pub fn years(mut self, years: usize) -> Self {
         assert!(years > 0, "the study needs at least one year");
-        self.years = years;
+        self.config = self.config.horizon_days(years * DAYS_PER_YEAR);
         self
     }
 
@@ -132,7 +119,7 @@ impl LifecycleStudy {
     /// stay deterministic per seed).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config = self.config.seed(seed);
         self
     }
 
@@ -153,8 +140,7 @@ impl LifecycleStudy {
     /// Panics if zero.
     #[must_use]
     pub fn parallelism(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "the study needs at least one worker");
-        self.parallelism = Some(workers);
+        self.config = self.config.parallelism(workers);
         self
     }
 
@@ -163,7 +149,7 @@ impl LifecycleStudy {
     /// lifecycle tiles periodically over the horizon.
     #[must_use]
     pub fn two_region_traces(&self) -> (IntensityTrace, IntensityTrace) {
-        let west = CaisoSynthesizer::new(self.seed, self.trace_days)
+        let west = CaisoSynthesizer::new(self.config.root_seed(), self.trace_days)
             .step(self.trace_step)
             .intensity_trace();
         let east = antipodal_twin(&west);
@@ -270,25 +256,29 @@ impl LifecycleStudy {
     /// Panics if zero.
     #[must_use]
     pub(crate) fn windows_per_day(mut self, windows_per_day: usize) -> Self {
-        assert!(
-            windows_per_day > 0,
-            "the study needs at least one window per day"
-        );
-        self.windows_per_day = windows_per_day;
+        self.config = self.config.windows_per_day(windows_per_day);
         self
     }
 
-    /// The study's run configuration over its horizon in years.
+    /// Overrides the simulated horizon with an exact number of days.
+    ///
+    /// # Panics
+    ///
+    /// Panics if zero.
+    #[must_use]
+    pub(crate) fn horizon_days(mut self, days: usize) -> Self {
+        self.config = self.config.horizon_days(days);
+        self
+    }
+
+    /// The study's run configuration.
     pub(crate) fn config(&self) -> LifecycleConfig {
-        let mut config = LifecycleConfig::new(self.years)
-            .windows_per_day(self.windows_per_day)
-            .sim_slice_s(self.sim_slice_s)
-            .warmup_s(self.warmup_s)
-            .seed(self.seed);
-        if let Some(workers) = self.parallelism {
-            config = config.parallelism(workers);
-        }
-        config
+        self.config
+    }
+
+    /// Mean days between device failures in every cohort slot.
+    pub(crate) fn mean_days_between_failures(&self) -> f64 {
+        self.mean_days_between_failures
     }
 
     /// Assembles the two-cloudlet fleet under carbon-aware routing.

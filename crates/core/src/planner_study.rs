@@ -20,7 +20,6 @@
 use junkyard_carbon::units::TimeSpan;
 use junkyard_devices::catalog;
 use junkyard_fleet::routing::RoutingPolicy;
-use junkyard_fleet::schedule::DiurnalSchedule;
 use junkyard_fleet::site::GridRegion;
 use junkyard_microsim::app::{social_network, SN_COMPOSE_POST};
 use junkyard_microsim::network::NetworkModel;
@@ -53,13 +52,14 @@ fn study_slo() -> Slo {
     Slo::new(150.0, 250.0).shed_ceiling(0.01)
 }
 
-/// Configuration of the provisioning-search study.
+/// Configuration of the provisioning-search study. The demand, seed,
+/// device failure rate, grid traces and leased c5.9xlarge site are its
+/// [`LifecycleStudy`] twin's own; this study adds the search space, the
+/// fidelity ladder, the SLO and the search's worker cap.
 #[derive(Debug, Clone)]
 pub struct PlannerStudy {
-    base_qps: f64,
-    seed: u64,
+    study: LifecycleStudy,
     parallelism: Option<usize>,
-    mean_days_between_failures: f64,
     rungs: Vec<Fidelity>,
     slo: Slo,
     rich_space: bool,
@@ -73,10 +73,8 @@ impl PlannerStudy {
     #[must_use]
     pub fn paper_scale() -> Self {
         Self {
-            base_qps: 1_600.0,
-            seed: 42,
+            study: LifecycleStudy::paper_scale(),
             parallelism: None,
-            mean_days_between_failures: 1_500.0,
             rungs: vec![Fidelity::coarse(), Fidelity::medium(), Fidelity::fine()],
             slo: study_slo(),
             rich_space: true,
@@ -89,10 +87,8 @@ impl PlannerStudy {
     #[must_use]
     pub fn quick() -> Self {
         Self {
-            base_qps: 1_600.0,
-            seed: 42,
+            study: LifecycleStudy::quick(),
             parallelism: None,
-            mean_days_between_failures: 1_500.0,
             rungs: vec![Fidelity::coarse(), Fidelity::new(4, 2, 1.0, 0.0)],
             slo: study_slo(),
             rich_space: false,
@@ -107,7 +103,7 @@ impl PlannerStudy {
     #[must_use]
     pub fn base_qps(mut self, qps: f64) -> Self {
         assert!(qps > 0.0, "the study needs offered load");
-        self.base_qps = qps;
+        self.study = self.study.base_qps(qps);
         self
     }
 
@@ -115,7 +111,7 @@ impl PlannerStudy {
     /// mutation draws all derive from it).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.study = self.study.seed(seed);
         self
     }
 
@@ -174,8 +170,7 @@ impl PlannerStudy {
     /// cohort choices and the fleet-wide policy dimensions.
     #[must_use]
     pub fn space(&self) -> PlannerSpace {
-        let lifecycle = self.lifecycle_twin();
-        let (west, east) = lifecycle.two_region_traces();
+        let (west, east) = self.study.two_region_traces();
         let regions = vec![GridRegion::new("west", west), GridRegion::new("east", east)];
         let mut space = PlannerSpace::new(self.cohort_options(), regions)
             .routings(vec![RoutingPolicy::Static, RoutingPolicy::carbon_aware()]);
@@ -190,20 +185,6 @@ impl PlannerStudy {
         space
     }
 
-    /// A [`LifecycleStudy`] carrying the same seed and trace fidelity,
-    /// used to derive the shared two-region traces and the leased
-    /// c5.9xlarge site.
-    fn lifecycle_twin(&self) -> LifecycleStudy {
-        // The lifecycle study's quick/paper split matches ours on trace
-        // fidelity; only the seed needs forwarding.
-        let twin = if self.rich_space {
-            LifecycleStudy::paper_scale()
-        } else {
-            LifecycleStudy::quick()
-        };
-        twin.seed(self.seed)
-    }
-
     /// The evaluator: candidates serve the compose-post demand over the
     /// office-day curve, with the c5.9xlarge registered as the leased
     /// fallback and the saturation screen armed.
@@ -213,18 +194,18 @@ impl PlannerStudy {
     /// Returns [`DeploymentError`] if the lifecycle study's c5.9xlarge
     /// site cannot be assembled.
     pub fn evaluator(&self) -> Result<FleetEvaluator, DeploymentError> {
-        let leased = self.lifecycle_twin().datacenter_site("leased-c5")?;
+        let leased = self.study.datacenter_site("leased-c5")?;
         Ok(FleetEvaluator::new(
             self.space(),
             social_network(),
             NetworkModel::phone_wifi(),
-            DiurnalSchedule::office_day(self.base_qps),
-            self.seed,
+            self.study.schedule(),
+            self.study.config().root_seed(),
         )
         .request_type(SN_COMPOSE_POST)
         .leased(leased)?
         .site_overhead(FAN_POWER, FAN_EMBODIED)
-        .failures(self.mean_days_between_failures)
+        .failures(self.study.mean_days_between_failures())
         .amortize_install(TimeSpan::from_years(SERVICE_LIFETIME_YEARS))
         .with_saturation_screen())
     }
@@ -250,7 +231,7 @@ impl PlannerStudy {
         // beats a feasible baseline" holds by construction instead of
         // depending on the coarse rungs ranking it into the survivors.
         let mut config = SearchConfig::new()
-            .seed(self.seed)
+            .seed(self.study.config().root_seed())
             .rungs(self.rungs.clone())
             .local_search(4, 2, 2)
             .pin(self.baseline_candidate());

@@ -43,20 +43,13 @@ pub fn availability_nines(availability: f64) -> f64 {
 }
 
 /// Configuration of the fault-injection resilience study. The demand,
-/// seed, routing windows, slice and worker cap are the inner
-/// [`LifecycleStudy`]'s own; this study adds the horizon, the fault plan
-/// and the strategies.
+/// seed, horizon, routing windows, slice and worker cap are the inner
+/// [`LifecycleStudy`]'s own; this study adds the fault plan and the
+/// strategies.
 #[derive(Debug, Clone)]
 pub struct ResilienceStudy {
     study: LifecycleStudy,
-    horizon_days: usize,
-    outage_mean_days: f64,
-    outage_windows: usize,
-    firmware_mean_days: f64,
-    firmware_fraction: f64,
-    firmware_windows: usize,
-    thermal_mean_days: f64,
-    thermal_windows: usize,
+    faults: FaultConfig,
     detection_lag_windows: usize,
     spare_pixels: usize,
     max_retries: usize,
@@ -72,15 +65,11 @@ impl ResilienceStudy {
     #[must_use]
     pub fn paper_scale() -> Self {
         Self {
-            study: LifecycleStudy::paper_scale(),
-            horizon_days: 365,
-            outage_mean_days: 30.0,
-            outage_windows: 12,
-            firmware_mean_days: 45.0,
-            firmware_fraction: 0.4,
-            firmware_windows: 48,
-            thermal_mean_days: 60.0,
-            thermal_windows: 6,
+            study: LifecycleStudy::paper_scale().horizon_days(365),
+            faults: FaultConfig::disabled()
+                .grid_outages(30.0, 12)
+                .firmware_batches(45.0, 0.4, 48)
+                .thermal_shutdowns(60.0, 6),
             detection_lag_windows: 2,
             spare_pixels: 2,
             max_retries: 3,
@@ -95,15 +84,11 @@ impl ResilienceStudy {
     #[must_use]
     pub fn quick() -> Self {
         Self {
-            study: LifecycleStudy::quick(),
-            horizon_days: 56,
-            outage_mean_days: 14.0,
-            outage_windows: 4,
-            firmware_mean_days: 18.0,
-            firmware_fraction: 0.5,
-            firmware_windows: 8,
-            thermal_mean_days: 21.0,
-            thermal_windows: 2,
+            study: LifecycleStudy::quick().horizon_days(56),
+            faults: FaultConfig::disabled()
+                .grid_outages(14.0, 4)
+                .firmware_batches(18.0, 0.5, 8)
+                .thermal_shutdowns(21.0, 2),
             detection_lag_windows: 1,
             spare_pixels: 2,
             max_retries: 3,
@@ -119,8 +104,7 @@ impl ResilienceStudy {
     /// Panics if zero.
     #[must_use]
     pub fn horizon_days(mut self, days: usize) -> Self {
-        assert!(days > 0, "the study needs at least one day");
-        self.horizon_days = days;
+        self.study = self.study.horizon_days(days);
         self
     }
 
@@ -168,14 +152,7 @@ impl ResilienceStudy {
     /// The shared fault plan configuration every faulty strategy faces.
     #[must_use]
     pub fn fault_config(&self) -> FaultConfig {
-        FaultConfig::disabled()
-            .grid_outages(self.outage_mean_days, self.outage_windows)
-            .firmware_batches(
-                self.firmware_mean_days,
-                self.firmware_fraction,
-                self.firmware_windows,
-            )
-            .thermal_shutdowns(self.thermal_mean_days, self.thermal_windows)
+        self.faults
     }
 
     /// The two-cloudlet fleet (plus an optional datacenter standby as the
@@ -201,7 +178,7 @@ impl ResilienceStudy {
             sites,
             self.study.schedule(),
             RoutingPolicy::carbon_aware(),
-            self.study.config().horizon_days(self.horizon_days),
+            self.study.config(),
         );
         if let Some(faults) = faults {
             sim = sim.with_faults(faults);
@@ -229,7 +206,7 @@ impl ResilienceStudy {
         self.build_fleet(
             0,
             true,
-            Some(self.fault_config()),
+            Some(self.faults),
             Some(
                 self.lagged_policy()
                     .retry(RetryPolicy::new(self.max_retries).hedge_to_fallback())
@@ -267,7 +244,7 @@ impl ResilienceStudy {
         )?)?;
         let baseline_bit_identical = baseline == disabled;
 
-        let faults = self.fault_config();
+        let faults = self.faults;
         let unmitigated =
             run(self.build_fleet(0, false, Some(faults), Some(self.lagged_policy()))?)?;
         let overprovisioned = run(self.build_fleet(

@@ -115,6 +115,12 @@ impl<H> RunConfig<H> {
         self
     }
 
+    /// The root seed set by [`seed`](Self::seed).
+    #[must_use]
+    pub fn root_seed(&self) -> u64 {
+        self.seed
+    }
+
     /// Caps the number of worker threads; `1` forces a serial run.
     ///
     /// # Panics

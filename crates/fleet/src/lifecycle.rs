@@ -68,7 +68,7 @@ pub const DAYS_PER_YEAR: usize = 365;
 /// A site-builder configuration error: the requested option does not
 /// apply to the site's backend kind, or a parameter is out of range. The
 /// message says what to do instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SiteConfigError {
     message: String,
 }

@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use junkyard_fleet::lifecycle::SiteConfigError;
 use serde::{Deserialize, Serialize};
 
 use crate::candidate::CandidateDeployment;
@@ -249,6 +250,9 @@ impl Evaluation {
 pub enum EvalError {
     /// The candidate's deployment could not be assembled.
     Build(String),
+    /// A site builder rejected the candidate's configuration: a device
+    /// that cannot fill a cohort slot, or a parameter out of range.
+    Site(SiteConfigError),
     /// The simulation rejected the run.
     Sim(String),
 }
@@ -257,12 +261,19 @@ impl std::fmt::Display for EvalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EvalError::Build(why) => write!(f, "candidate build failed: {why}"),
+            EvalError::Site(why) => write!(f, "candidate site misconfigured: {why}"),
             EvalError::Sim(why) => write!(f, "candidate simulation failed: {why}"),
         }
     }
 }
 
 impl std::error::Error for EvalError {}
+
+impl From<SiteConfigError> for EvalError {
+    fn from(error: SiteConfigError) -> Self {
+        EvalError::Site(error)
+    }
+}
 
 /// A black-box scorer of candidate deployments.
 ///

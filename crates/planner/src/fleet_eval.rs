@@ -299,10 +299,7 @@ impl FleetEvaluator {
         let mut devices = Vec::with_capacity(option.device_count());
         for (device, qps, count) in option.slots() {
             for _ in 0..*count {
-                devices.push(
-                    CohortDevice::from_spec(device, Qps::from_per_second(*qps))
-                        .map_err(|e| EvalError::Build(e.to_string()))?,
-                );
+                devices.push(CohortDevice::from_spec(device, Qps::from_per_second(*qps))?);
             }
         }
         let mut install: GramsCo2e = devices
@@ -316,14 +313,11 @@ impl FleetEvaluator {
         }
         let floor = self.space.charge_floor_of(candidate);
         let mut site =
-            LifecycleSite::try_cohort(region.name(), sim, region.clone(), devices, install)
-                .map_err(|e| EvalError::Build(e.to_string()))?
+            LifecycleSite::try_cohort(region.name(), sim, region.clone(), devices, install)?
                 .overhead_power(self.site_overhead_power)
                 .charge_policy(SmartChargePolicy::new(floor, CHARGE_HEADROOM));
         if self.mtbf_days > 0.0 {
-            site = site
-                .failures(self.mtbf_days, self.space.refill_lag_of(candidate))
-                .map_err(|e| EvalError::Build(e.to_string()))?;
+            site = site.failures(self.mtbf_days, self.space.refill_lag_of(candidate))?;
         }
         if let Some(request_type) = &self.request_type {
             site = site.request_type(request_type.clone());
@@ -341,8 +335,7 @@ impl FleetEvaluator {
                     "candidate wants a leased fallback but no leased site is registered".to_owned(),
                 )
             })?
-            .leased_share(share)
-            .map_err(|e| EvalError::Build(e.to_string()))?;
+            .leased_share(share)?;
         if let Some(request_type) = &self.request_type {
             site = site.request_type(request_type.clone());
         }
@@ -536,6 +529,32 @@ mod tests {
             evaluator.evaluate(&candidate, Fidelity::coarse()),
             Err(EvalError::Build(_))
         ));
+    }
+
+    #[test]
+    fn a_device_that_cannot_fill_a_slot_is_a_typed_site_error() {
+        // A catalog server carries no battery, so `from_spec` rejects it
+        // as a cohort slot; the evaluator hands back that typed error.
+        let server = CohortOption::uniform(junkyard_devices::catalog::poweredge_r740(), 1, 300.0);
+        let space = PlannerSpace::new(
+            vec![CohortOption::empty(), server],
+            vec![flat_region("west", 120.0)],
+        );
+        let evaluator = FleetEvaluator::new(
+            space,
+            hotel_reservation(),
+            NetworkModel::phone_wifi(),
+            DiurnalSchedule::office_day(300.0),
+            7,
+        );
+        let candidate = CandidateDeployment::new(vec![1], 0, 0, 0, 0);
+        match evaluator.evaluate(&candidate, Fidelity::coarse()) {
+            Err(EvalError::Site(error)) => assert!(
+                error.message().contains("battery"),
+                "unexpected site error: {error}"
+            ),
+            other => panic!("expected a typed site error, got {other:?}"),
+        }
     }
 
     #[test]
